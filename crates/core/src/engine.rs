@@ -17,9 +17,11 @@
 //! 4. **Gradient** (`add_grad`) — the full local gradient is
 //!    reduce-scattered; each rank accumulates its own shard on the
 //!    gradient tier.
-//! 5. **Step** — each rank streams its optimizer-state shard through
-//!    bounded chunks (NVMe→CPU→update→NVMe, Sec. 5.2.2), updates the fp32
-//!    master, and writes the fresh fp16 shard back to the parameter tier.
+//! 5. **Step** — each rank streams every optimizer-state shard through
+//!    one step-wide pipeline of bounded chunks (NVMe→CPU→update→NVMe,
+//!    Sec. 5.2.2) whose reads and write-behind run across parameter
+//!    boundaries, updates the fp32 master, and writes the fresh fp16
+//!    shard back to the parameter tier through the same write-behind.
 //!    Replicated-parameter strategies (ZeRO-1/2/Offload) instead allgather
 //!    the updated slices back into every replica.
 
@@ -395,85 +397,195 @@ impl ZeroEngine {
         }
         self.scaler.update(false);
 
-        let world = self.comm.world_size() as f32 * self.grad_accum_steps;
-        let rank = self.comm.rank();
-        for idx in 0..self.shards.len() {
-            let Some(gs) = self.shards[idx].grad.take() else { continue };
-            self.shards[idx].grad_nonfinite = false;
-            let st = &self.shards[idx];
-            let numel = st.numel;
-            let shard_len = st.shard_len;
-
-            // Assemble the gradient slice covering this rank's update
-            // range, averaged over ranks.
-            let (mut grad_vec, _slice_is_shard) = match gs {
-                GradStorage::Partitioned(buf) => {
-                    let v = self.mgr.load(&buf)?.to_f32_vec();
-                    self.mgr.free(buf);
-                    (v, true)
-                }
-                GradStorage::Replicated(buf) => {
-                    let v = self.mgr.load(&buf)?.to_f32_vec();
-                    self.mgr.free(buf);
-                    if self.strategy.partition_optimizer {
-                        let range = self.part.shard_range(numel, rank);
-                        let mut slice = vec![0f32; shard_len];
-                        let end = range.end.min(numel);
-                        if range.start < end {
-                            slice[..end - range.start].copy_from_slice(&v[range.start..end]);
-                        }
-                        (slice, true)
-                    } else {
-                        (v, false)
-                    }
-                }
-            };
-            for g in &mut grad_vec {
-                *g /= world;
+        let mut wb = WriteBehind::new(self.strategy.write_behind_bound());
+        let mut reads = VecDeque::new();
+        let streamed = self.stream_step(&mut wb, &mut reads);
+        // Reconcile every ticket on every path — reads still queued after
+        // an error, then the write-behind — so no request leaks into the
+        // flush barrier; the first error wins.
+        for read in reads {
+            for load in read.loads {
+                let _ = load.wait(&self.mgr);
             }
-
-            // Stream the optimizer state through bounded chunks with a
-            // depth-deep read pipeline and bounded write-behind.
-            let total = grad_vec.len();
-            let chunk = self.strategy.optimizer_chunk.min(total.max(1));
-            let depth = self.strategy.step_pipeline_depth.max(1);
-            let wb_window = self.strategy.write_behind_bound();
-            let mut new_master = vec![0f32; total];
-            let st = &mut self.shards[idx];
-            st.optim.step += 1;
-            let streamed = stream_shard_update(
-                &self.mgr,
-                &self.scratch,
-                &self.adam,
-                &mut st.optim,
-                &grad_vec,
-                chunk,
-                depth,
-                wb_window,
-                &mut new_master,
-            )?;
-            self.stats.optimizer_chunks += streamed.chunks;
-            self.stats.step_io_overlap += streamed.overlapped;
-
-            // Publish the updated parameters in storage dtype.
-            self.publish_master(idx, &new_master)?;
         }
+        streamed.and(wb.drain(&self.mgr))?;
         self.stats.steps += 1;
         self.end_iteration()?;
         Ok(true)
     }
 
+    /// The optimizer step as one stream over every shard's chunks, in
+    /// parameter order (Sec. 5.2.2 + overlap-centric design, Sec. 6.2).
+    ///
+    /// While chunk k runs `adam_update_chunk_publish`, the master/m/v
+    /// reads of chunks k+1..k+depth are already in flight — across
+    /// parameter boundaries, so many small parameters still keep the
+    /// device busy — and every earlier write-back drains through the
+    /// step-wide window `wb` under back-pressure. A shard publishes its
+    /// fp16 values as soon as its last chunk is updated: partitioned
+    /// parameters through `wb` as well, replicated ones through their
+    /// allgather (a collective, so in shard order on every rank).
+    /// `depth == 1` degenerates to the sequential read→update→write loop:
+    /// the window is drained after every chunk.
+    ///
+    /// Chunks never straddle a shard and Adam is elementwise, so the
+    /// result is bit-identical at every depth. Reads left in `reads` by
+    /// an error and the writes in `wb` are the caller's to reconcile.
+    fn stream_step(
+        &mut self,
+        wb: &mut WriteBehind,
+        reads: &mut VecDeque<ChunkRead>,
+    ) -> Result<()> {
+        let depth = self.strategy.step_pipeline_depth.max(1);
+        let chunk = self.strategy.optimizer_chunk;
+        // Shards with chunks still to update, in parameter order; the
+        // back one is the shard whose reads are being issued.
+        let mut open: VecDeque<OpenShard> = VecDeque::new();
+        let mut next_shard = 0;
+        loop {
+            // Keep `depth` chunks' reads in flight ahead of the update.
+            // A split shard fans each chunk out over both placement
+            // paths: the NVMe parts queue on the device while the
+            // CPU-DRAM parts land immediately — concurrent nc + cp
+            // traffic within one pipelined step.
+            while reads.len() < depth {
+                if open.back().is_none_or(|shard| shard.issued.is_none()) {
+                    match self.open_shard(&mut next_shard)? {
+                        Some(shard) => open.push_back(shard),
+                        None => break,
+                    }
+                }
+                let Some(shard) = open.back_mut() else { break };
+                let Some(start) = shard.issued else { break };
+                let total = shard.grad.len();
+                let len = chunk.min(total - start);
+                let optim = &self.shards[shard.idx].optim;
+                let loads = [
+                    self.mgr.begin_load_elems_placed(&optim.master, start, len)?,
+                    self.mgr.begin_load_elems_placed(&optim.m, start, len)?,
+                    self.mgr.begin_load_elems_placed(&optim.v, start, len)?,
+                ];
+                let last = start + len == total;
+                reads.push_back(ChunkRead { start, len, last, loads });
+                shard.issued = (!last).then_some(start + len);
+            }
+            // Chunks complete in issue order, so the oldest read belongs
+            // to the oldest open shard.
+            let (Some(read), Some(shard)) = (reads.pop_front(), open.front_mut()) else {
+                return Ok(());
+            };
+            let ChunkRead { start, len, last, loads } = read;
+            let mut mchunk = self.scratch.acquire(len);
+            let mut m1 = self.scratch.acquire(len);
+            let mut m2 = self.scratch.acquire(len);
+            let [pm, p1, p2] = loads.map(|load| load.wait(&self.mgr));
+            pm?.decode_f32_into(&mut mchunk);
+            p1?.decode_f32_into(&mut m1);
+            p2?.decode_f32_into(&mut m2);
+            // Measured after the waits: anything still in flight now is
+            // genuine overlap (later chunks' reads, earlier writes).
+            if self.mgr.nvme().in_flight() > 0 {
+                self.stats.step_io_overlap += 1;
+            }
+            let optim = &mut self.shards[shard.idx].optim;
+            {
+                // The compute half of the streamed step: I/O hidden
+                // behind these spans is the pipeline's overlap win.
+                let mut span = self.mgr.tracer().span(Category::Compute, "adam_chunk");
+                span.set_bytes((len * 4) as u64);
+                // ~15 scalar flops per element in the Adam recurrence
+                // (moment updates, bias correction, sqrt, update).
+                span.set_flops(15 * len as u64);
+                span.set_id(start as u64);
+                adam_update_chunk_publish(
+                    &self.adam,
+                    optim.step,
+                    &mut mchunk,
+                    &mut m1,
+                    &mut m2,
+                    &shard.grad[start..start + len],
+                    &mut shard.new_master[start..start + len],
+                );
+            }
+            let mgr = &self.mgr;
+            let f32_buf = |vals: &[f32]| FlatBuffer::from_f32(DType::F32, vals);
+            wb.submit_elems_placed(mgr, &mut optim.master, start, &f32_buf(&mchunk))?;
+            wb.submit_elems_placed(mgr, &mut optim.m, start, &f32_buf(&m1))?;
+            wb.submit_elems_placed(mgr, &mut optim.v, start, &f32_buf(&m2))?;
+            self.stats.optimizer_chunks += 1;
+            if last {
+                if let Some(done) = open.pop_front() {
+                    self.publish_master(done.idx, &done.new_master, wb)?;
+                }
+            }
+            if depth == 1 {
+                // Sequential semantics: this chunk (and a shard's publish)
+                // is durable before the next chunk's reads are issued.
+                wb.drain(&self.mgr)?;
+            }
+        }
+    }
+
+    /// Open the next shard at or after `*next` that holds a gradient:
+    /// take the gradient off its tier, average it over ranks, cut it to
+    /// this rank's update range and advance the shard's Adam step.
+    /// `None` once every shard has been considered.
+    fn open_shard(&mut self, next: &mut usize) -> Result<Option<OpenShard>> {
+        let world = self.comm.world_size() as f32 * self.grad_accum_steps;
+        let rank = self.comm.rank();
+        while *next < self.shards.len() {
+            let idx = *next;
+            *next += 1;
+            let Some(gs) = self.shards[idx].grad.take() else { continue };
+            self.shards[idx].grad_nonfinite = false;
+            let numel = self.shards[idx].numel;
+            let shard_len = self.shards[idx].shard_len;
+            // A replicated gradient under a partitioned optimizer (ZeRO-1)
+            // is cut to this rank's update range.
+            let (buf, cut) = match gs {
+                GradStorage::Partitioned(buf) => (buf, false),
+                GradStorage::Replicated(buf) => (buf, self.strategy.partition_optimizer),
+            };
+            let full = self.mgr.load(&buf)?.to_f32_vec();
+            self.mgr.free(buf);
+            let mut grad = if cut {
+                let range = self.part.shard_range(numel, rank);
+                let mut slice = vec![0f32; shard_len];
+                let end = range.end.min(numel);
+                if range.start < end {
+                    slice[..end - range.start].copy_from_slice(&full[range.start..end]);
+                }
+                slice
+            } else {
+                full
+            };
+            for g in &mut grad {
+                *g /= world;
+            }
+            self.shards[idx].optim.step += 1;
+            let new_master = vec![0f32; grad.len()];
+            return Ok(Some(OpenShard { idx, grad, new_master, issued: Some(0) }));
+        }
+        Ok(None)
+    }
+
     /// Write the fp32 master values covering this rank's update range back
-    /// into parameter storage (casting to the storage dtype). For
+    /// into parameter storage (casting to the storage dtype). Partitioned
+    /// parameters write through `wb`, which the caller drains. For
     /// replicated parameters with a partitioned optimizer (ZeRO-1/2) this
     /// performs an allgather and is therefore a collective.
-    fn publish_master(&mut self, idx: usize, new_master: &[f32]) -> Result<()> {
+    fn publish_master(
+        &mut self,
+        idx: usize,
+        new_master: &[f32],
+        wb: &mut WriteBehind,
+    ) -> Result<()> {
         let dtype = self.strategy.param_dtype;
         let numel = self.shards[idx].numel;
         match &mut self.shards[idx].param {
             ParamStorage::Partitioned(buf) => {
                 // new_master covers exactly this rank's padded shard.
-                self.mgr.overwrite(buf, &FlatBuffer::from_f32(dtype, new_master))
+                wb.submit_elems(&self.mgr, buf, 0, &FlatBuffer::from_f32(dtype, new_master))
             }
             ParamStorage::Replicated(buf) => {
                 if self.strategy.partition_optimizer {
@@ -639,22 +751,21 @@ impl ZeroEngine {
                 )));
             }
         }
-        for (idx, rec) in records.into_iter().enumerate() {
-            {
-                let st = &mut self.shards[idx];
-                st.optim.step = rec.step;
-                self.mgr.overwrite_placed(
-                    &mut st.optim.master,
-                    &FlatBuffer::from_f32(DType::F32, &rec.master),
-                )?;
-                self.mgr
-                    .overwrite_placed(&mut st.optim.m, &FlatBuffer::from_f32(DType::F32, &rec.m))?;
-                self.mgr
-                    .overwrite_placed(&mut st.optim.v, &FlatBuffer::from_f32(DType::F32, &rec.v))?;
-            }
-            self.publish_master(idx, &rec.master)?;
-        }
-        Ok(())
+        let mut wb = WriteBehind::new(self.strategy.write_behind_bound());
+        let restored = records.into_iter().enumerate().try_for_each(|(idx, rec)| {
+            let st = &mut self.shards[idx];
+            st.optim.step = rec.step;
+            self.mgr.overwrite_placed(
+                &mut st.optim.master,
+                &FlatBuffer::from_f32(DType::F32, &rec.master),
+            )?;
+            self.mgr
+                .overwrite_placed(&mut st.optim.m, &FlatBuffer::from_f32(DType::F32, &rec.m))?;
+            self.mgr
+                .overwrite_placed(&mut st.optim.v, &FlatBuffer::from_f32(DType::F32, &rec.v))?;
+            self.publish_master(idx, &rec.master, &mut wb)
+        });
+        restored.and(wb.drain(&self.mgr))
     }
 
     /// Free every device allocation held by this engine. The engine is
@@ -767,120 +878,25 @@ fn device_for(kind: DeviceKind, rank: usize) -> Device {
     }
 }
 
-/// Counters produced by one shard's streamed update.
-#[derive(Default)]
-struct StreamStats {
-    /// Chunks updated.
-    chunks: u64,
-    /// Chunks whose update began with device I/O still in flight.
-    overlapped: u64,
+/// A shard opened by the streamed step: its gradient slice (averaged
+/// over ranks) and the fp32 masters assembled chunk by chunk until the
+/// shard publishes.
+struct OpenShard {
+    idx: usize,
+    grad: Vec<f32>,
+    new_master: Vec<f32>,
+    /// Start of the next chunk to read, `None` once the last chunk's
+    /// reads are in flight.
+    issued: Option<usize>,
 }
 
-/// Stream one shard's optimizer state (master, m, v) through bounded
-/// chunks with a `depth`-deep read pipeline and bounded write-behind
-/// (Sec. 5.2.2 + overlap-centric design, Sec. 6.2).
-///
-/// While chunk k runs `adam_update_chunk_publish`, the three reads of
-/// chunks k+1..k+depth are already in flight and the writes of chunks
-/// < k drain asynchronously under back-pressure. `depth == 1`
-/// degenerates to the fully sequential read→update→write loop (each
-/// chunk's writes are drained before the next chunk starts).
-///
-/// All write-behind tickets are reconciled before returning — on the
-/// success path and on every error path — so failures surface as typed
-/// errors here (preserving the retry/checksum/failover semantics) and
-/// no request leaks into the end-of-iteration flush barrier.
-#[allow(clippy::too_many_arguments)]
-fn stream_shard_update(
-    mgr: &OffloadManager,
-    scratch: &ScratchPool,
-    adam: &AdamConfig,
-    optim: &mut OptimStorage,
-    grad_vec: &[f32],
-    chunk: usize,
-    depth: usize,
-    wb_window: usize,
-    new_master: &mut [f32],
-) -> Result<StreamStats> {
-    let total = grad_vec.len();
-    let step_no = optim.step;
-    let mut stats = StreamStats::default();
-    let mut wb = WriteBehind::new(wb_window);
-    let mut pending: VecDeque<(usize, usize, [PlacedPending; 3])> = VecDeque::new();
-    let mut issued = 0usize;
-
-    let mut run = || -> Result<()> {
-        while issued < total || !pending.is_empty() {
-            // Keep `depth` chunks' reads in flight ahead of the update.
-            // A split shard fans each chunk out over both placement
-            // paths: the NVMe parts queue on the device while the
-            // CPU-DRAM parts land immediately — concurrent nc + cp
-            // traffic within one pipelined step.
-            while issued < total && pending.len() < depth {
-                let len = chunk.min(total - issued);
-                let loads = [
-                    mgr.begin_load_elems_placed(&optim.master, issued, len)?,
-                    mgr.begin_load_elems_placed(&optim.m, issued, len)?,
-                    mgr.begin_load_elems_placed(&optim.v, issued, len)?,
-                ];
-                pending.push_back((issued, len, loads));
-                issued += len;
-            }
-            let (start, len, [pm, p1, p2]) = pending.pop_front().expect("pending non-empty");
-            let mut mchunk = scratch.acquire(len);
-            let mut m1 = scratch.acquire(len);
-            let mut m2 = scratch.acquire(len);
-            pm.wait(mgr)?.decode_f32_into(&mut mchunk);
-            p1.wait(mgr)?.decode_f32_into(&mut m1);
-            p2.wait(mgr)?.decode_f32_into(&mut m2);
-            // Measured after the waits: anything still in flight now is
-            // genuine overlap (later chunks' reads, earlier writes).
-            if mgr.nvme().in_flight() > 0 {
-                stats.overlapped += 1;
-            }
-            {
-                // The compute half of the streamed step: I/O hidden
-                // behind these spans is the pipeline's overlap win.
-                let mut span = mgr.tracer().span(Category::Compute, "adam_chunk");
-                span.set_bytes((len * 4) as u64);
-                // ~15 scalar flops per element in the Adam recurrence
-                // (moment updates, bias correction, sqrt, update).
-                span.set_flops(15 * len as u64);
-                span.set_id(start as u64);
-                adam_update_chunk_publish(
-                    adam,
-                    step_no,
-                    &mut mchunk,
-                    &mut m1,
-                    &mut m2,
-                    &grad_vec[start..start + len],
-                    &mut new_master[start..start + len],
-                );
-            }
-            wb.submit_elems_placed(
-                mgr,
-                &mut optim.master,
-                start,
-                &FlatBuffer::from_f32(DType::F32, &mchunk),
-            )?;
-            wb.submit_elems_placed(mgr, &mut optim.m, start, &FlatBuffer::from_f32(DType::F32, &m1))?;
-            wb.submit_elems_placed(mgr, &mut optim.v, start, &FlatBuffer::from_f32(DType::F32, &m2))?;
-            if depth == 1 {
-                // Sequential semantics: this chunk is durable before the
-                // next chunk's reads are even issued.
-                wb.drain(mgr)?;
-            }
-            stats.chunks += 1;
-        }
-        Ok(())
-    };
-    let result = run();
-    // Reconcile the write-behind in every case; the first error wins.
-    match (result, wb.drain(mgr)) {
-        (Err(e), _) => Err(e),
-        (Ok(()), Err(e)) => Err(e),
-        (Ok(()), Ok(())) => Ok(stats),
-    }
+/// One chunk of an open shard whose master/m/v reads are in flight.
+struct ChunkRead {
+    start: usize,
+    len: usize,
+    /// The shard's final chunk: once it is updated, the shard publishes.
+    last: bool,
+    loads: [PlacedPending; 3],
 }
 
 #[cfg(test)]
@@ -1074,33 +1090,142 @@ mod tests {
 
     #[test]
     fn pipelined_step_is_bit_identical_to_sequential() {
-        let run = |depth: usize| {
+        // Gradients on both parameters, so the stream crosses a shard
+        // boundary; chunk 5 splits `w` across chunks, usize::MAX makes
+        // every shard a single chunk.
+        let run = |chunk: usize, depth: usize| {
             let (_node, mut eng, reg) = single_rank(
                 Strategy::infinity_nvme()
                     .with_f32_params()
-                    .with_optimizer_chunk(5)
+                    .with_optimizer_chunk(chunk)
                     .with_step_pipeline_depth(depth),
             );
-            let id = reg.find("w").unwrap();
             for s in 0..3 {
-                let grad =
-                    Tensor::from_vec(&[3, 4], (0..12).map(|i| (i + s) as f32 * 0.1).collect())
-                        .unwrap();
-                eng.add_grad(id, &grad).unwrap();
+                for meta in reg.iter() {
+                    let grad: Vec<f32> =
+                        (0..meta.numel()).map(|i| (i + s) as f32 * 0.1 - 0.3).collect();
+                    eng.add_grad(meta.id, &Tensor::from_vec(&meta.shape, grad).unwrap()).unwrap();
+                }
                 eng.step().unwrap();
             }
-            let out = eng.export_param(id).unwrap();
+            let bits: Vec<Vec<u32>> = reg
+                .iter()
+                .map(|meta| {
+                    let t = eng.export_param(meta.id).unwrap();
+                    t.data().iter().map(|x| x.to_bits()).collect()
+                })
+                .collect();
             eng.dispose().unwrap();
-            out
+            bits
         };
-        let sequential = run(1);
-        for depth in [2, 3, 4, 8] {
-            assert_eq!(
-                sequential.data(),
-                run(depth).data(),
-                "pipeline depth {depth} must be invisible to the math"
-            );
+        for chunk in [5, usize::MAX] {
+            let sequential = run(chunk, 1);
+            for depth in [2, 3, 4, 8] {
+                assert_eq!(
+                    sequential,
+                    run(chunk, depth),
+                    "chunk {chunk}: pipeline depth {depth} must be invisible to the math"
+                );
+            }
         }
+    }
+
+    /// `n` parameters of `len` elements each.
+    fn small_params_registry(n: usize, len: usize) -> ParamRegistry {
+        let mut reg = ParamRegistry::new();
+        for i in 0..n {
+            reg.register(format!("p{i}"), &[len], 10 + i as u64, 0.2, 0.0);
+        }
+        reg
+    }
+
+    fn deposit_unit_grads(eng: &mut ZeroEngine, reg: &ParamRegistry) {
+        for meta in reg.iter() {
+            let grad = Tensor::from_vec(&meta.shape, vec![1.0; meta.numel()]).unwrap();
+            eng.add_grad(meta.id, &grad).unwrap();
+        }
+    }
+
+    #[test]
+    fn pipelined_step_overlaps_io_across_shard_boundaries() {
+        use std::time::Duration;
+        use zi_nvme::{MemBackend, ThrottledBackend};
+        // Every shard is far smaller than `optimizer_chunk`, so each is a
+        // single chunk: any overlap must come from reads of the next
+        // parameters running under the current one's update.
+        let spec = NodeMemorySpec::test_spec(1, 1 << 22, 1 << 22, 1 << 22);
+        let backend = zi_sync::Arc::new(ThrottledBackend::new(
+            MemBackend::new(),
+            2e9,
+            Duration::from_millis(2),
+        ));
+        let node = NodeResources::with_backend(&spec, 1, backend);
+        let reg = small_params_registry(6, 4);
+        let mut eng = ZeroEngine::new(
+            &reg,
+            Strategy::infinity_nvme()
+                .with_f32_params()
+                .with_prefetch(false)
+                .with_step_pipeline_depth(3),
+            node.offload_manager(),
+            node.group.communicator(0),
+            AdamConfig::default(),
+        )
+        .unwrap();
+        deposit_unit_grads(&mut eng, &reg);
+        assert!(eng.step().unwrap());
+        let stats = eng.stats();
+        assert_eq!(stats.optimizer_chunks, 6, "one chunk per shard: {stats:?}");
+        assert!(
+            stats.step_io_overlap > 0,
+            "one-chunk shards must overlap the next shards' reads: {stats:?}"
+        );
+        let peak = node.nvme.stats().in_flight_peak;
+        assert!(peak >= 6, "depth 3 must keep several shards' reads in flight, peak was {peak}");
+        eng.dispose().unwrap();
+    }
+
+    #[test]
+    fn device_death_mid_step_is_typed_and_reconciles_every_ticket() {
+        use crate::offload::tests::faulty_node;
+        // fp16 parameters on NVMe: every shard's publish rides the
+        // step's write-behind window next to the optimizer write-backs.
+        let strategy =
+            Strategy::infinity_nvme().with_prefetch(false).with_step_pipeline_depth(3);
+        let reg = small_params_registry(8, 6);
+        let setup = || {
+            let (plan, node) = faulty_node();
+            let mut eng = ZeroEngine::new(
+                &reg,
+                strategy,
+                node.offload_manager(),
+                node.group.communicator(0),
+                AdamConfig::default(),
+            )
+            .unwrap();
+            deposit_unit_grads(&mut eng, &reg);
+            (plan, node, eng)
+        };
+        // Calibrate: how many device operations one step performs.
+        let (plan, _node, mut eng) = setup();
+        let before = plan.ops_seen();
+        assert!(eng.step().unwrap());
+        let step_ops = plan.ops_seen() - before;
+        eng.dispose().unwrap();
+
+        let (plan, node, mut eng) = setup();
+        plan.kill_after_ops(step_ops / 2);
+        let err = eng.step().unwrap_err();
+        assert!(err.is_device_failure(), "got {err}");
+        // A waited ticket's outcome lands a moment before its worker
+        // retires it from the in-flight count; allow that moment only.
+        let mgr = node.offload_manager();
+        let deadline = zi_sync::time::Instant::now() + std::time::Duration::from_secs(1);
+        while mgr.nvme().in_flight() > 0 && zi_sync::time::Instant::now() < deadline {
+            zi_sync::thread::yield_now();
+        }
+        assert_eq!(mgr.nvme().in_flight(), 0, "a ticket leaked past the failed step");
+        eng.dispose().unwrap();
     }
 
     #[test]

@@ -1281,7 +1281,7 @@ impl WriteBehind {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn node() -> NodeResources {
@@ -1371,7 +1371,7 @@ mod tests {
         mgr.free(buf);
     }
 
-    fn faulty_node() -> (zi_nvme::FaultPlan, NodeResources) {
+    pub(crate) fn faulty_node() -> (zi_nvme::FaultPlan, NodeResources) {
         use std::time::Duration;
         let spec = NodeMemorySpec::test_spec(2, 1 << 20, 1 << 20, 1 << 20);
         let plan = zi_nvme::FaultPlan::new();

@@ -5,7 +5,14 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
-cargo test -q
+# Tier-1 plus every crate's own unit tests: a bare `cargo test -q` at
+# the root tests only the zero-infinity-suite package, which skips each
+# crate's #[cfg(test)] modules (the engine's pipelined-step
+# bit-identity tests among them).
+cargo test -q --workspace
+# The benchmark is a standalone package with its own workspace under
+# perfbench/, so --workspace does not reach its unit tests.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
 cargo clippy --workspace -- -D warnings
 # Audit stage: the zi-audit static pass (DESIGN.md §13) — sync-hygiene
 # wall, static lock-order cycles, unsafe/SAFETY inventory, panic-path
