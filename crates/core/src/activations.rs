@@ -12,13 +12,13 @@ use zi_model::ActivationStore;
 use zi_tensor::{FlatBuffer, Tensor};
 use zi_types::{DType, Device, Error, Result};
 
-use crate::offload::{DeviceBuf, OffloadManager};
+use crate::offload::{OffloadManager, PlacedBuf};
 
-/// Activation store backed by CPU (or any tier's) device buffers.
+/// Activation store backed by CPU (or any tier's) offloaded buffers.
 pub struct OffloadActStore {
     mgr: OffloadManager,
     device: Device,
-    slots: HashMap<usize, (Vec<usize>, DeviceBuf)>,
+    slots: HashMap<usize, (Vec<usize>, PlacedBuf)>,
     /// Total bytes written over the store's lifetime.
     bytes_saved: u64,
     /// Total bytes read back.
@@ -70,7 +70,7 @@ impl ActivationStore for OffloadActStore {
         let shape = t.shape().to_vec();
         let buf = FlatBuffer::from_f32(DType::F32, t.data());
         self.bytes_saved += buf.size_in_bytes() as u64;
-        let stored = self.mgr.store(self.device, buf)?;
+        let stored = self.mgr.store(self.device, None, buf)?;
         self.slots.insert(key, (shape, stored));
         Ok(())
     }

@@ -36,36 +36,35 @@ use zi_trace::{Category, Counter};
 use zi_types::{DType, Device, DeviceKind, Error, Result};
 
 use crate::config::Strategy;
-use crate::offload::{DeviceBuf, OffloadManager, PlacedBuf, PlacedPending, WriteBehind};
+use crate::offload::{OffloadManager, PendingRead, PlacedBuf, WriteBehind};
 use crate::prefetch::{PrefetchStats, Prefetcher, TraceMap};
 
 /// How parameters are stored between uses.
 enum ParamStorage {
     /// Every rank holds only its padded shard.
-    Partitioned(DeviceBuf),
+    Partitioned(PlacedBuf),
     /// Every rank holds the full tensor.
-    Replicated(DeviceBuf),
+    Replicated(PlacedBuf),
 }
 
 /// Accumulated gradient for one parameter (f32).
 enum GradStorage {
     /// This rank's reduce-scattered shard (padded length / world).
-    Partitioned(DeviceBuf),
+    Partitioned(PlacedBuf),
     /// Fully reduced gradient replicated on every rank.
-    Replicated(DeviceBuf),
+    Replicated(PlacedBuf),
 }
 
 /// Optimizer state (fp32 master/momentum/variance) for this rank's
 /// update range. Each of the three lives under a placement plan: for
 /// NVMe-tier optimizer state the shard may be split between CPU DRAM
-/// and the device, and the streamed step drives both paths at once.
+/// and the device, and the streamed step drives both paths at once. The
+/// policy the three were last (re)stored under, compared against the
+/// strategy's current one to detect re-tier drift, is `master.policy()`.
 struct OptimStorage {
     master: PlacedBuf,
     m: PlacedBuf,
     v: PlacedBuf,
-    /// The policy the three buffers were last (re)stored under; compared
-    /// against the strategy's current policy to detect re-tier drift.
-    policy: PlacementPolicy,
     step: u64,
 }
 
@@ -202,10 +201,10 @@ impl ZeroEngine {
                 let range = part.shard_range(numel, rank);
                 let shard =
                     FlatBuffer::from_f32(strategy.param_dtype, &padded[range]);
-                ParamStorage::Partitioned(mgr.store(param_device, shard)?)
+                ParamStorage::Partitioned(mgr.store(param_device, None, shard)?)
             } else {
                 let buf = FlatBuffer::from_f32(strategy.param_dtype, full.data());
-                ParamStorage::Replicated(mgr.store(param_device, buf)?)
+                ParamStorage::Replicated(mgr.store(param_device, None, buf)?)
             };
 
             // Optimizer master state initialized from the same values so
@@ -219,16 +218,15 @@ impl ZeroEngine {
                 full.data().to_vec()
             };
             let opt_len = master_vals.len();
-            let policy = strategy.optimizer_policy();
+            let policy = Some(strategy.optimizer_policy());
             let optim = OptimStorage {
-                master: mgr.store_placed(
+                master: mgr.store(
                     optim_device,
-                    &policy,
+                    policy,
                     FlatBuffer::from_f32(DType::F32, &master_vals),
                 )?,
-                m: mgr.store_placed(optim_device, &policy, FlatBuffer::zeros(DType::F32, opt_len))?,
-                v: mgr.store_placed(optim_device, &policy, FlatBuffer::zeros(DType::F32, opt_len))?,
-                policy,
+                m: mgr.store(optim_device, policy, FlatBuffer::zeros(DType::F32, opt_len))?,
+                v: mgr.store(optim_device, policy, FlatBuffer::zeros(DType::F32, opt_len))?,
                 step: 0,
             };
 
@@ -349,7 +347,7 @@ impl ZeroEngine {
             }
             slot @ None => {
                 let buf =
-                    self.mgr.store(grad_device, FlatBuffer::from_f32(DType::F32, delta))?;
+                    self.mgr.store(grad_device, None, FlatBuffer::from_f32(DType::F32, delta))?;
                 *slot = Some(if partitioned {
                     GradStorage::Partitioned(buf)
                 } else {
@@ -461,9 +459,9 @@ impl ZeroEngine {
                 let len = chunk.min(total - start);
                 let optim = &self.shards[shard.idx].optim;
                 let loads = [
-                    self.mgr.begin_load_elems_placed(&optim.master, start, len)?,
-                    self.mgr.begin_load_elems_placed(&optim.m, start, len)?,
-                    self.mgr.begin_load_elems_placed(&optim.v, start, len)?,
+                    self.mgr.begin_load(&optim.master, start, len)?,
+                    self.mgr.begin_load(&optim.m, start, len)?,
+                    self.mgr.begin_load(&optim.v, start, len)?,
                 ];
                 let last = start + len == total;
                 reads.push_back(ChunkRead { start, len, last, loads });
@@ -509,9 +507,9 @@ impl ZeroEngine {
             }
             let mgr = &self.mgr;
             let f32_buf = |vals: &[f32]| FlatBuffer::from_f32(DType::F32, vals);
-            wb.submit_elems_placed(mgr, &mut optim.master, start, &f32_buf(&mchunk))?;
-            wb.submit_elems_placed(mgr, &mut optim.m, start, &f32_buf(&m1))?;
-            wb.submit_elems_placed(mgr, &mut optim.v, start, &f32_buf(&m2))?;
+            wb.submit(mgr, &mut optim.master, start, &f32_buf(&mchunk))?;
+            wb.submit(mgr, &mut optim.m, start, &f32_buf(&m1))?;
+            wb.submit(mgr, &mut optim.v, start, &f32_buf(&m2))?;
             self.stats.optimizer_chunks += 1;
             if last {
                 if let Some(done) = open.pop_front() {
@@ -585,7 +583,7 @@ impl ZeroEngine {
         match &mut self.shards[idx].param {
             ParamStorage::Partitioned(buf) => {
                 // new_master covers exactly this rank's padded shard.
-                wb.submit_elems(&self.mgr, buf, 0, &FlatBuffer::from_f32(dtype, new_master))
+                wb.submit(&self.mgr, buf, 0, &FlatBuffer::from_f32(dtype, new_master))
             }
             ParamStorage::Replicated(buf) => {
                 if self.strategy.partition_optimizer {
@@ -619,10 +617,9 @@ impl ZeroEngine {
             self.placement_seen = version;
             if policy == PlacementPolicy::all_cpu() {
                 for st in &mut self.shards {
-                    mgr.collapse_placed(&mut st.optim.master)?;
-                    mgr.collapse_placed(&mut st.optim.m)?;
-                    mgr.collapse_placed(&mut st.optim.v)?;
-                    st.optim.policy = policy;
+                    mgr.collapse(&mut st.optim.master)?;
+                    mgr.collapse(&mut st.optim.m)?;
+                    mgr.collapse(&mut st.optim.v)?;
                 }
                 return Ok(());
             }
@@ -635,13 +632,12 @@ impl ZeroEngine {
         let target = self.strategy.optimizer_policy();
         let optim_device = device_for(self.strategy.placement.optimizer, self.gpu_index);
         for st in &mut self.shards {
-            if st.optim.policy == target {
+            if st.optim.master.policy() == Some(target) {
                 continue;
             }
-            mgr.retier_placed(&mut st.optim.master, optim_device, &target)?;
-            mgr.retier_placed(&mut st.optim.m, optim_device, &target)?;
-            mgr.retier_placed(&mut st.optim.v, optim_device, &target)?;
-            st.optim.policy = target;
+            mgr.retier(&mut st.optim.master, optim_device, target)?;
+            mgr.retier(&mut st.optim.m, optim_device, target)?;
+            mgr.retier(&mut st.optim.v, optim_device, target)?;
         }
         Ok(())
     }
@@ -717,9 +713,9 @@ impl ZeroEngine {
             out.push(crate::checkpoint::ParamRecord {
                 step: st.optim.step,
                 numel: st.numel as u64,
-                master: self.mgr.load_placed(&st.optim.master)?.to_f32_vec(),
-                m: self.mgr.load_placed(&st.optim.m)?.to_f32_vec(),
-                v: self.mgr.load_placed(&st.optim.v)?.to_f32_vec(),
+                master: self.mgr.load(&st.optim.master)?.to_f32_vec(),
+                m: self.mgr.load(&st.optim.m)?.to_f32_vec(),
+                v: self.mgr.load(&st.optim.v)?.to_f32_vec(),
             });
         }
         Ok(out)
@@ -755,14 +751,10 @@ impl ZeroEngine {
         let restored = records.into_iter().enumerate().try_for_each(|(idx, rec)| {
             let st = &mut self.shards[idx];
             st.optim.step = rec.step;
-            self.mgr.overwrite_placed(
-                &mut st.optim.master,
-                &FlatBuffer::from_f32(DType::F32, &rec.master),
-            )?;
-            self.mgr
-                .overwrite_placed(&mut st.optim.m, &FlatBuffer::from_f32(DType::F32, &rec.m))?;
-            self.mgr
-                .overwrite_placed(&mut st.optim.v, &FlatBuffer::from_f32(DType::F32, &rec.v))?;
+            let f32_buf = |vals: &[f32]| FlatBuffer::from_f32(DType::F32, vals);
+            self.mgr.overwrite(&mut st.optim.master, &f32_buf(&rec.master))?;
+            self.mgr.overwrite(&mut st.optim.m, &f32_buf(&rec.m))?;
+            self.mgr.overwrite(&mut st.optim.v, &f32_buf(&rec.v))?;
             self.publish_master(idx, &rec.master, &mut wb)
         });
         restored.and(wb.drain(&self.mgr))
@@ -778,9 +770,9 @@ impl ZeroEngine {
                 ParamStorage::Partitioned(b) | ParamStorage::Replicated(b) => b,
             };
             self.mgr.free(pbuf);
-            self.mgr.free_placed(st.optim.master);
-            self.mgr.free_placed(st.optim.m);
-            self.mgr.free_placed(st.optim.v);
+            self.mgr.free(st.optim.master);
+            self.mgr.free(st.optim.m);
+            self.mgr.free(st.optim.v);
         }
         let gpu = self.gpu_device();
         for (_, r) in self.resident.drain() {
@@ -896,7 +888,7 @@ struct ChunkRead {
     len: usize,
     /// The shard's final chunk: once it is updated, the shard publishes.
     last: bool,
-    loads: [PlacedPending; 3],
+    loads: [PendingRead; 3],
 }
 
 #[cfg(test)]
@@ -1267,6 +1259,39 @@ mod tests {
         let peak = node.nvme.stats().in_flight_peak;
         assert!(peak >= 2, "expected ≥ 2 concurrent requests, peak was {peak} (before: {peak_before})");
         eng.dispose().unwrap();
+    }
+
+    #[test]
+    fn cp_hop_counts_only_optimizer_state_traffic() {
+        // Two params of 63 and 5 elements: one step streams 68 f32 of
+        // master, m and v each through the optimizer, i.e. 12 × 68 bytes
+        // read and written. GPU/CPU-tier optimizer state resolves over
+        // the cp hop; all-NVMe state never touches it. Parameter and
+        // gradient traffic stays off the hop on every strategy.
+        let mut reg = ParamRegistry::new();
+        reg.register("a", &[63], 3, 0.2, 0.0);
+        reg.register("b", &[5], 4, 0.2, 0.0);
+        for strategy in Strategy::table2() {
+            let spec = NodeMemorySpec::test_spec(1, 1 << 22, 1 << 22, 1 << 22);
+            let node = NodeResources::in_memory(&spec, 1);
+            let mut eng = ZeroEngine::new(
+                &reg,
+                strategy,
+                node.offload_manager(),
+                node.group.communicator(0),
+                AdamConfig::default(),
+            )
+            .unwrap();
+            deposit_unit_grads(&mut eng, &reg);
+            let before = node.tracer().snapshot();
+            assert!(eng.step().unwrap());
+            let after = node.tracer().snapshot();
+            let want = if strategy.placement.optimizer == DeviceKind::Nvme { 0 } else { 12 * 68 };
+            let read = after.cp_read_bytes - before.cp_read_bytes;
+            let written = after.cp_write_bytes - before.cp_write_bytes;
+            assert_eq!((read, written), (want, want), "{}", strategy.name);
+            eng.dispose().unwrap();
+        }
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! * [`config`] — device-placement strategies (Table 2): classic data
 //!   parallelism, ZeRO-1/2/3, ZeRO-Offload, ZeRO-Infinity with CPU or NVMe
 //!   offload.
-//! * [`offload`] — the infinity offload engine: placement-aware device
-//!   buffers over capacity-limited pools, asynchronous NVMe movement
-//!   through `zi-nvme`, pinned staging buffers from `zi-memory`.
+//! * [`offload`] — the infinity offload engine: placement-aware buffers
+//!   (one segment per tier they span) over capacity-limited pools,
+//!   asynchronous NVMe movement through `zi-nvme`, pinned staging buffers
+//!   from `zi-memory`.
 //! * [`engine`] — the per-rank [`engine::ZeroEngine`], a
 //!   [`zi_model::ParamStore`] that gathers bandwidth-centrically
 //!   partitioned parameters on demand (allgather, Sec. 6.1), re-partitions
@@ -63,7 +64,7 @@ pub use adaptive::TelemetryCursor;
 pub use config::{Placement, Strategy};
 pub use engine::{EngineStats, ZeroEngine};
 pub use mp::{train_gpt_2d, MpAllReduce, Spec2D};
-pub use offload::{DeviceBuf, NodeResources, OffloadHealth, OffloadManager, PendingLoad, WriteBehind};
+pub use offload::{NodeResources, OffloadHealth, OffloadManager, PendingRead, PlacedBuf, WriteBehind};
 pub use pp::{train_gpt_pipeline, PipelineSpec};
 pub use tiling::TiledLinear;
 pub use checkpoint::{reshard_checkpoint_blobs, CHECKPOINT_FORMAT};

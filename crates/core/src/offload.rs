@@ -1,12 +1,14 @@
-//! The infinity offload engine: placement-aware device buffers.
+//! The infinity offload engine: placement-aware offloaded buffers.
 //!
-//! A [`DeviceBuf`] is one tensor's worth of bytes resident on a specific
-//! memory tier. GPU and CPU buffers hold their bytes in process memory and
-//! charge the corresponding capacity pool; NVMe buffers own an extent of
-//! the backing device and move bytes through the asynchronous
-//! [`zi_nvme::NvmeEngine`]. Every NVMe transfer checks a staging buffer out
-//! of the pinned pool for its duration, bounding staging memory the way
-//! the paper's pinned-memory management layer does (Sec. 6.3).
+//! A [`PlacedBuf`] is one tensor's worth of bytes — a parameter shard, a
+//! gradient, an optimizer-state shard or an activation checkpoint — kept
+//! as one or more segments, each resident on one memory tier. GPU and CPU
+//! segments hold their bytes in process memory and charge the
+//! corresponding capacity pool; NVMe segments own an extent of the backing
+//! device and move bytes through the asynchronous [`zi_nvme::NvmeEngine`].
+//! Every NVMe transfer checks a staging buffer out of the pinned pool while
+//! it is submitted, bounding staging memory the way the paper's
+//! pinned-memory management layer does (Sec. 6.3).
 
 use std::collections::{BTreeMap, VecDeque};
 use zi_sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -74,6 +76,15 @@ impl ResilienceState {
         let inside: Vec<u64> = map.range(offset..end).map(|(start, _)| *start).collect();
         for start in inside {
             map.remove(&start);
+        }
+    }
+
+    /// Latch the degradation flag, counting the first transition and
+    /// publishing the all-CPU collapse policy so plan readers re-tier.
+    fn latch_degraded(&self, tracer: &Tracer, placement: &PlanCell) {
+        if !self.degraded.swap(true, Ordering::Release) {
+            tracer.count(Counter::DegradedTransitions, 1);
+            placement.publish(PlacementPolicy::all_cpu());
         }
     }
 
@@ -261,10 +272,7 @@ impl NodeResources {
     /// death — the replacement run must not trust the dead device.
     /// Publishes the all-CPU policy so split shards collapse too.
     pub fn degrade(&self) {
-        if !self.resilience.degraded.swap(true, Ordering::Release) {
-            self.tracer.count(Counter::DegradedTransitions, 1);
-            self.placement.publish(PlacementPolicy::all_cpu());
-        }
+        self.resilience.latch_degraded(&self.tracer, &self.placement);
     }
 
     /// A per-rank offload manager handle.
@@ -280,103 +288,192 @@ impl NodeResources {
     }
 }
 
-/// One tensor's bytes, resident on a device tier.
+/// One contiguous piece of a [`PlacedBuf`], resident on one device.
 #[derive(Debug)]
-pub struct DeviceBuf {
+struct Segment {
+    /// First buffer element this segment covers.
+    start: usize,
+    /// Elements in this segment.
+    len: usize,
     device: Device,
-    dtype: DType,
-    numel: usize,
     block: Block,
-    /// Present for GPU/CPU placements; NVMe bytes live on the device.
+    /// The bytes of a GPU/CPU segment; `None` when they live on the NVMe
+    /// device.
     ram: Option<FlatBuffer>,
 }
 
-impl DeviceBuf {
-    /// Device this buffer lives on.
-    pub fn device(&self) -> Device {
-        self.device
+impl Segment {
+    /// One past the last buffer element this segment covers.
+    fn end(&self) -> usize {
+        self.start + self.len
     }
 
-    /// Element type.
-    pub fn dtype(&self) -> DType {
-        self.dtype
+    /// The path the segment currently resolves through. A segment
+    /// *planned* for NVMe reports [`PathKind::Cpu`] after a failover
+    /// moved its bytes to DRAM — readers care where the bytes are, not
+    /// where the plan wanted them.
+    fn path(&self) -> PathKind {
+        match self.ram {
+            Some(_) => PathKind::Cpu,
+            None => PathKind::Nvme,
+        }
     }
+}
 
-    /// Number of elements.
+/// One logical tensor stored under a placement plan: an ordered,
+/// disjoint, exhaustive list of segments, each resident on one tier.
+///
+/// A single-tier store is the one-segment case. An NVMe-tier store under
+/// a split [`PlacementPolicy`] places part of the buffer in CPU DRAM (the
+/// cp path) and the rest on NVMe (the nc path), interleaved at the
+/// policy's stripe, and every ranged operation fans out across the
+/// segments it touches — so a streamed pass drives both paths
+/// concurrently.
+#[derive(Debug)]
+pub struct PlacedBuf {
+    dtype: DType,
+    numel: usize,
+    /// The policy the buffer was stored under; `None` for single-tier
+    /// stores (parameters, gradients, activations).
+    policy: Option<PlacementPolicy>,
+    segments: Vec<Segment>,
+}
+
+impl PlacedBuf {
+    /// Number of elements across all segments.
     pub fn numel(&self) -> usize {
         self.numel
     }
 
-    /// Size in bytes.
-    pub fn size_in_bytes(&self) -> usize {
-        self.dtype.bytes_for(self.numel)
+    /// The placement policy the buffer was last stored under, if any.
+    /// Only policy-placed buffers (optimizer state) account their DRAM
+    /// traffic on the cp hop.
+    pub fn policy(&self) -> Option<PlacementPolicy> {
+        self.policy
     }
 
-    /// True when the bytes live on the NVMe device (loading them costs an
-    /// nc-transfer); GPU/CPU buffers resolve from process memory.
+    /// Elements currently resolving through `path`.
+    pub fn elems_on(&self, path: PathKind) -> usize {
+        self.segments.iter().filter(|s| s.path() == path).map(|s| s.len).sum()
+    }
+
+    /// True when the buffer is split across both paths.
+    pub fn is_split(&self) -> bool {
+        self.elems_on(PathKind::Nvme) > 0 && self.elems_on(PathKind::Cpu) > 0
+    }
+
+    /// True when any part of the buffer lives on the NVMe device (loading
+    /// it costs an nc-transfer).
     pub fn is_offloaded(&self) -> bool {
-        self.ram.is_none()
+        self.segments.iter().any(|s| s.ram.is_none())
     }
 
-    /// The placement path this buffer resolves through: NVMe extents go
-    /// over the nc path, everything RAM-resident over the cp path.
-    pub fn path(&self) -> PathKind {
-        if self.is_offloaded() {
-            PathKind::Nvme
-        } else {
-            PathKind::Cpu
+    /// Reject `[start, start + len)` unless it lies inside the buffer.
+    fn check_range(&self, op: &str, start: usize, len: usize) -> Result<usize> {
+        match start.checked_add(len) {
+            Some(end) if end <= self.numel => Ok(end),
+            _ => Err(Error::shape(format!(
+                "{op} [{start}, +{len}) out of buffer of {} elements",
+                self.numel
+            ))),
         }
     }
+
+    /// Indices of the segments overlapping elements `[start, end)`.
+    fn overlapping(&self, start: usize, end: usize) -> std::ops::Range<usize> {
+        let first = self.segments.partition_point(|s| s.end() <= start);
+        let last = self.segments.partition_point(|s| s.start < end);
+        first..last.max(first)
+    }
 }
 
-/// An NVMe load in flight; resolves to the bytes when waited.
-///
-/// The pinned staging buffer is held only while the request is being
-/// submitted, never across the life of the pending load — holding it
-/// longer can deadlock ranks that block inside collectives while a
-/// sibling rank waits for staging (the pinned pool is a node-shared
-/// resource).
-pub struct PendingLoad {
-    dtype: DType,
-    /// Outstanding NVMe read and its device extent (for verification).
-    ticket: Option<(Ticket, u64, usize)>,
-    /// Immediate result for GPU/CPU sources.
-    immediate: Option<FlatBuffer>,
+/// One segment's share of a [`PendingRead`].
+enum Part {
+    /// Bytes already in hand (a GPU/CPU segment).
+    Ready(FlatBuffer),
+    /// An NVMe read in flight and the device extent it covers (for
+    /// verification).
+    Nvme(Ticket, u64, usize),
 }
 
-impl PendingLoad {
-    /// Block until the data is available. NVMe loads are verified
+impl Part {
+    /// Block until the bytes are available. NVMe reads are verified
     /// against the checksum recorded at store time; a mismatch triggers
     /// synchronous re-reads before surfacing [`Error::Corruption`], so a
     /// prefetched buffer is never silently poisoned.
-    pub fn wait(self, mgr: &OffloadManager) -> Result<FlatBuffer> {
-        match (self.ticket, self.immediate) {
-            (Some((ticket, offset, len)), _) => {
+    fn wait(self, mgr: &OffloadManager, dtype: DType) -> Result<FlatBuffer> {
+        match self {
+            Part::Ready(buf) => Ok(buf),
+            Part::Nvme(ticket, offset, len) => {
                 let bytes = mgr
                     .nvme
                     .wait(ticket)?
                     .ok_or_else(|| Error::Internal("read ticket returned no data".into()))?;
-                let bytes = mgr.verify_or_reread(offset, len, bytes)?;
-                FlatBuffer::from_bytes(self.dtype, bytes)
+                FlatBuffer::from_bytes(dtype, mgr.verify_or_reread(offset, len, bytes)?)
             }
-            (None, Some(buf)) => Ok(buf),
-            (None, None) => Err(Error::Internal("empty PendingLoad".into())),
+        }
+    }
+}
+
+/// A ranged load in flight: one part per touched segment, in range order.
+/// DRAM parts resolve immediately; NVMe parts stay queued on the device —
+/// so waiting overlaps exactly the nc share of the range.
+///
+/// The pinned staging buffer is held only while each request is being
+/// submitted, never across the life of the pending load — holding it
+/// longer can deadlock ranks that block inside collectives while a
+/// sibling rank waits for staging (the pinned pool is a node-shared
+/// resource).
+pub struct PendingRead {
+    dtype: DType,
+    len: usize,
+    /// `(offset within the requested range, part)`, in range order.
+    parts: Vec<(usize, Part)>,
+}
+
+impl PendingRead {
+    /// Block until every part landed and assemble the range. Every part
+    /// is waited even after one fails, so no outcome is left behind in
+    /// the NVMe completion map; the first error wins.
+    pub fn wait(mut self, mgr: &OffloadManager) -> Result<FlatBuffer> {
+        if self.parts.len() == 1 {
+            let Some((_, part)) = self.parts.pop() else {
+                return Err(Error::Internal("one-part read lost its part".into()));
+            };
+            return part.wait(mgr, self.dtype);
+        }
+        let mut bytes = vec![0u8; self.dtype.bytes_for(self.len)];
+        let mut first_err = None;
+        for (off, part) in self.parts {
+            match part.wait(mgr, self.dtype) {
+                Ok(fb) => {
+                    let lo = self.dtype.bytes_for(off);
+                    bytes[lo..lo + fb.size_in_bytes()].copy_from_slice(fb.as_bytes());
+                }
+                Err(e) => {
+                    first_err.get_or_insert(e);
+                }
+            }
+        }
+        match first_err {
+            Some(e) => Err(e),
+            None => FlatBuffer::from_bytes(self.dtype, bytes),
         }
     }
 
-    /// True if this load still has an outstanding NVMe request.
+    /// True if any part still has an outstanding NVMe request.
     pub fn is_async(&self) -> bool {
-        self.ticket.is_some()
+        self.parts.iter().any(|(_, p)| matches!(p, Part::Nvme(..)))
     }
 
-    /// True once the data is available without blocking: the NVMe read
-    /// completed (successfully or not), or the load was immediate. The
-    /// prefetcher uses this to tell a timely hit from a late one.
+    /// True once every part is available without blocking: each NVMe
+    /// read completed (successfully or not). The prefetcher uses this to
+    /// tell a timely hit from a late one.
     pub fn ready(&self, mgr: &OffloadManager) -> bool {
-        match &self.ticket {
-            Some((ticket, _, _)) => mgr.nvme.is_ready(*ticket),
-            None => true,
-        }
+        self.parts.iter().all(|(_, p)| match p {
+            Part::Ready(_) => true,
+            Part::Nvme(ticket, ..) => mgr.nvme.is_ready(*ticket),
+        })
     }
 }
 
@@ -417,15 +514,6 @@ impl OffloadManager {
         &self.placement
     }
 
-    /// Latch the degradation flag, counting the first transition and
-    /// publishing the all-CPU collapse policy so plan readers re-tier.
-    fn latch_degraded(&self) {
-        if !self.resilience.degraded.swap(true, Ordering::Release) {
-            self.tracer.count(Counter::DegradedTransitions, 1);
-            self.placement.publish(PlacementPolicy::all_cpu());
-        }
-    }
-
     /// True once NVMe stores are redirected to CPU — either because a
     /// request exhausted its retry budget (the engine latched device
     /// death) or because the node was explicitly degraded.
@@ -448,55 +536,131 @@ impl OffloadManager {
         }
     }
 
-    /// Redirect an NVMe store to CPU, counting the failover.
-    fn store_failover(&self, data: FlatBuffer) -> Result<DeviceBuf> {
-        self.latch_degraded();
+    /// Count one NVMe→CPU failover, latching the node degraded.
+    fn fail_over(&self) {
+        self.resilience.latch_degraded(&self.tracer, &self.placement);
         self.resilience.failovers.fetch_add(1, Ordering::Relaxed);
-        self.store(Device::cpu(), data)
     }
 
-    /// Allocate on `device` and store `data` there.
-    ///
-    /// NVMe stores degrade gracefully: once the device is declared dead
-    /// (or the node was degraded explicitly), the shard is placed in CPU
-    /// memory instead and the failover is counted in [`Self::health`].
-    /// Training slows down (the paper's NVMe capacity win is lost) but
-    /// does not abort.
-    pub fn store(&self, device: Device, data: FlatBuffer) -> Result<DeviceBuf> {
-        if device.kind == DeviceKind::Nvme && self.is_degraded() {
-            return self.store_failover(data);
+    /// Open a cp-hop span over `bytes` of DRAM traffic starting at buffer
+    /// element `id`, and count them under `counter` — but only for a DRAM
+    /// segment of a policy-placed buffer. Only optimizer state is
+    /// policy-placed, so parameter, gradient and activation traffic stays
+    /// off the cp hop whose bytes feed the adaptive bandwidth hint.
+    fn cp_hop(
+        &self,
+        placed: bool,
+        path: PathKind,
+        name: &'static str,
+        counter: Counter,
+        bytes: usize,
+        id: usize,
+    ) -> Option<zi_trace::Span<'_>> {
+        if !placed || path != PathKind::Cpu {
+            return None;
         }
-        let bytes = data.size_in_bytes() as u64;
-        let block = self.hierarchy.alloc(device, bytes)?;
-        let numel = data.numel();
-        let dtype = data.dtype();
-        let ram = match device.kind {
-            DeviceKind::Gpu | DeviceKind::Cpu => Some(data),
-            DeviceKind::Nvme => {
-                // Stage through a pinned buffer for the duration of the
-                // write, then hand the bytes to the async engine and wait:
-                // stores must be durable before the shard is dropped.
-                let _staging = self.pinned.acquire();
-                let ticket = self.nvme.submit_write(block.offset, data.as_bytes().to_vec());
-                match self.nvme.wait(ticket) {
-                    Ok(_) => {
-                        self.resilience.record(block.offset, data.as_bytes());
-                        None
-                    }
-                    Err(e) if e.is_device_failure() => {
-                        // The device died under this store; the data is
-                        // still in hand — fail over to CPU.
-                        self.hierarchy.free(device, block);
-                        return self.store_failover(data);
-                    }
-                    Err(e) => {
-                        self.hierarchy.free(device, block);
-                        return Err(e);
-                    }
+        self.tracer.count(counter, bytes as u64);
+        let mut span = self.tracer.span(Category::CpTransfer, name);
+        span.set_bytes(bytes as u64);
+        span.set_id(id as u64);
+        Some(span)
+    }
+
+    /// Store `data` on `device`, under `policy` when given.
+    ///
+    /// Only NVMe-tier stores split: the policy decides what fraction of
+    /// the buffer stays in CPU DRAM (interleaved at the policy's stripe),
+    /// and the rest goes to the device; without a policy the whole buffer
+    /// goes to the device. GPU/CPU-tier stores are always one segment.
+    ///
+    /// NVMe stores degrade gracefully. A degraded node collapses the plan
+    /// to one CPU segment up front, counting one failover if the plan had
+    /// NVMe elements; an NVMe segment whose write dies mid-store fails
+    /// over *alone*, counting one, while the other segments keep their
+    /// placement. Training slows down (the paper's NVMe capacity win is
+    /// lost) but does not abort.
+    pub fn store(
+        &self,
+        device: Device,
+        policy: Option<PlacementPolicy>,
+        data: FlatBuffer,
+    ) -> Result<PlacedBuf> {
+        let (dtype, numel) = (data.dtype(), data.numel());
+        // `vec![seg]` allocates exactly one slot: every parameter,
+        // gradient and activation buffer keeps its segment list for life.
+        let single = |seg| PlacedBuf { dtype, numel, policy, segments: vec![seg] };
+        if device.kind != DeviceKind::Nvme {
+            return Ok(single(self.store_segment(device, 0, data)?));
+        }
+        let mut plan = policy.unwrap_or_else(PlacementPolicy::all_nvme).plan(numel);
+        if self.is_degraded() {
+            if plan.elems_on(PathKind::Nvme) > 0 {
+                self.fail_over();
+            }
+            plan = PlacementPolicy::all_cpu().plan(numel);
+        }
+        let target = |path| match path {
+            PathKind::Cpu => Device::cpu(),
+            PathKind::Nvme => Device::nvme(),
+        };
+        let placed = policy.is_some();
+        if let [only] = plan.segments() {
+            // One segment: the whole buffer moves in, uncopied.
+            let bytes = data.size_in_bytes();
+            let _hop = self.cp_hop(placed, only.path, "cp.store", Counter::CpWriteBytes, bytes, 0);
+            return Ok(single(self.store_segment(target(only.path), 0, data)?));
+        }
+        let segments = Vec::with_capacity(plan.segments().len());
+        let mut buf = PlacedBuf { dtype, numel, policy, segments };
+        for seg in plan.segments() {
+            let part = data.slice(seg.start, seg.len)?;
+            let bytes = part.size_in_bytes();
+            let _hop =
+                self.cp_hop(placed, seg.path, "cp.store", Counter::CpWriteBytes, bytes, seg.start);
+            match self.store_segment(target(seg.path), seg.start, part) {
+                Ok(stored) => buf.segments.push(stored),
+                Err(e) => {
+                    self.free(buf);
+                    return Err(e);
                 }
             }
-        };
-        Ok(DeviceBuf { device, dtype, numel, block, ram })
+        }
+        Ok(buf)
+    }
+
+    /// Allocate one segment on `device` and store `data` there. NVMe
+    /// writes are durable before this returns; a device death under the
+    /// write (or a node already degraded) moves this segment alone to
+    /// CPU, bytes in hand.
+    fn store_segment(&self, device: Device, start: usize, data: FlatBuffer) -> Result<Segment> {
+        if device.kind == DeviceKind::Nvme && self.is_degraded() {
+            self.fail_over();
+            return self.store_segment(Device::cpu(), start, data);
+        }
+        let len = data.numel();
+        let block = self.hierarchy.alloc(device, data.size_in_bytes() as u64)?;
+        if device.kind != DeviceKind::Nvme {
+            return Ok(Segment { start, len, device, block, ram: Some(data) });
+        }
+        // Stage through a pinned buffer for the duration of the write.
+        let staging = self.pinned.acquire();
+        let ticket = self.nvme.submit_write(block.offset, data.as_bytes().to_vec());
+        let written = self.nvme.wait(ticket);
+        drop(staging);
+        match written {
+            Ok(_) => {
+                self.resilience.record(block.offset, data.as_bytes());
+                Ok(Segment { start, len, device, block, ram: None })
+            }
+            Err(e) => {
+                self.hierarchy.free(device, block);
+                if !e.is_device_failure() {
+                    return Err(e);
+                }
+                self.fail_over();
+                self.store_segment(Device::cpu(), start, data)
+            }
+        }
     }
 
     /// One synchronous device read of `[offset, offset+len)`.
@@ -538,112 +702,52 @@ impl OffloadManager {
         })
     }
 
-    /// Checksum-verified synchronous read.
-    fn read_verified(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
-        let bytes = self.read_once(offset, len)?;
-        self.verify_or_reread(offset, len, bytes)
-    }
-
-    /// Load the entire buffer.
-    pub fn load(&self, buf: &DeviceBuf) -> Result<FlatBuffer> {
-        match &buf.ram {
-            Some(data) => Ok(data.clone()),
-            None => {
-                let bytes = self.read_verified(buf.block.offset, buf.size_in_bytes())?;
-                FlatBuffer::from_bytes(buf.dtype, bytes)
-            }
-        }
-    }
-
-    /// Load elements `[start, start+len)`.
-    pub fn load_elems(&self, buf: &DeviceBuf, start: usize, len: usize) -> Result<FlatBuffer> {
-        if start + len > buf.numel {
-            return Err(Error::shape(format!(
-                "load_elems [{start}, {}) out of buffer of {} elements",
-                start + len,
-                buf.numel
-            )));
-        }
-        match &buf.ram {
-            Some(data) => data.slice(start, len),
-            None => {
-                let es = buf.dtype.size_in_bytes() as u64;
-                // Sub-range reads verify only when they cover a recorded
-                // extent exactly (start == 0 and len == numel); partial
-                // extents have no recorded CRC and pass through.
-                let bytes = self.read_verified(
-                    buf.block.offset + start as u64 * es,
-                    buf.dtype.bytes_for(len),
-                )?;
-                FlatBuffer::from_bytes(buf.dtype, bytes)
-            }
-        }
-    }
-
-    /// Begin an asynchronous load of the whole buffer. NVMe sources issue
-    /// the read immediately and return; GPU/CPU sources resolve instantly.
-    /// This is the `nc-transfer` stage the prefetcher overlaps with
-    /// compute (Sec. 6.2).
-    pub fn begin_load(&self, buf: &DeviceBuf) -> Result<PendingLoad> {
-        match &buf.ram {
-            Some(data) => {
-                Ok(PendingLoad { dtype: buf.dtype, ticket: None, immediate: Some(data.clone()) })
-            }
-            None => {
-                // Staging is charged transiently for the submission only.
-                let _staging = self.pinned.acquire();
-                let len = buf.size_in_bytes();
-                let ticket = self.nvme.submit_read(buf.block.offset, len);
-                Ok(PendingLoad {
-                    dtype: buf.dtype,
-                    ticket: Some((ticket, buf.block.offset, len)),
-                    immediate: None,
-                })
-            }
-        }
-    }
-
-    /// Begin an asynchronous load of elements `[start, start+len)` — the
-    /// partial-range sibling of [`Self::begin_load`]. The pipelined
-    /// optimizer step uses this to keep the next chunks' reads in flight
-    /// while the current chunk updates (Sec. 5.2.2 + 6.2); resolved
-    /// loads verify against any checksum recorded for exactly this
-    /// extent, so steady-state chunk streams keep PR 1's integrity
-    /// guarantees once each chunk has been written back at least once.
-    pub fn begin_load_elems(
-        &self,
-        buf: &DeviceBuf,
-        start: usize,
-        len: usize,
-    ) -> Result<PendingLoad> {
-        if start + len > buf.numel {
-            return Err(Error::shape(format!(
-                "begin_load_elems [{start}, {}) out of buffer of {} elements",
-                start + len,
-                buf.numel
-            )));
-        }
-        match &buf.ram {
-            Some(data) => Ok(PendingLoad {
-                dtype: buf.dtype,
-                ticket: None,
-                immediate: Some(data.slice(start, len)?),
-            }),
+    /// Start reading elements `[lo, lo + len)` of one segment: DRAM bytes
+    /// are copied out now, NVMe reads are issued to the device. Reads
+    /// verify against any checksum recorded for exactly this extent, so
+    /// a chunk stream is verified once each chunk was written back.
+    fn begin_part(&self, dtype: DType, seg: &Segment, lo: usize, len: usize) -> Result<Part> {
+        match &seg.ram {
+            Some(ram) => Ok(Part::Ready(ram.slice(lo, len)?)),
             None => {
                 // Staging is charged transiently for the submission only
-                // (see `PendingLoad` for why holding it would deadlock).
+                // (see `PendingRead` for why holding it would deadlock).
                 let _staging = self.pinned.acquire();
-                let es = buf.dtype.size_in_bytes() as u64;
-                let off = buf.block.offset + start as u64 * es;
-                let nbytes = buf.dtype.bytes_for(len);
-                let ticket = self.nvme.submit_read(off, nbytes);
-                Ok(PendingLoad {
-                    dtype: buf.dtype,
-                    ticket: Some((ticket, off, nbytes)),
-                    immediate: None,
-                })
+                let offset = seg.block.offset + dtype.bytes_for(lo) as u64;
+                let nbytes = dtype.bytes_for(len);
+                Ok(Part::Nvme(self.nvme.submit_read(offset, nbytes), offset, nbytes))
             }
         }
+    }
+
+    /// Load the entire buffer, reassembling split segments.
+    pub fn load(&self, buf: &PlacedBuf) -> Result<FlatBuffer> {
+        let parts = buf
+            .segments
+            .iter()
+            .map(|seg| Ok((seg.start, self.begin_part(buf.dtype, seg, 0, seg.len)?)))
+            .collect::<Result<_>>()?;
+        PendingRead { dtype: buf.dtype, len: buf.numel, parts }.wait(self)
+    }
+
+    /// Begin an asynchronous load of elements `[start, start+len)`. NVMe
+    /// parts are issued to the device immediately; DRAM parts are
+    /// materialized here (under a cp-hop span for optimizer state) — so a
+    /// pipelined caller streams both paths concurrently. This is the
+    /// `nc-transfer` stage the prefetcher and the pipelined optimizer
+    /// step overlap with compute (Sec. 5.2.2 + 6.2).
+    pub fn begin_load(&self, buf: &PlacedBuf, start: usize, len: usize) -> Result<PendingRead> {
+        let end = buf.check_range("begin_load", start, len)?;
+        let placed = buf.policy.is_some();
+        let touched = &buf.segments[buf.overlapping(start, end)];
+        let mut parts = Vec::with_capacity(touched.len());
+        for seg in touched {
+            let (lo, hi) = (seg.start.max(start), seg.end().min(end));
+            let bytes = buf.dtype.bytes_for(hi - lo);
+            let _hop = self.cp_hop(placed, seg.path(), "cp.read", Counter::CpReadBytes, bytes, lo);
+            parts.push((lo - start, self.begin_part(buf.dtype, seg, lo - seg.start, hi - lo)?));
+        }
+        Ok(PendingRead { dtype: buf.dtype, len, parts })
     }
 
     /// Accumulate `delta` into the buffer in place, returning whether any
@@ -654,138 +758,119 @@ impl OffloadManager {
     /// propagate through addition), so OR-ing the per-call flags is
     /// exactly equivalent to scanning the fully accumulated gradient
     /// once at step time — without the extra full-gradient pass.
-    pub fn accumulate_f32(&self, buf: &mut DeviceBuf, delta: &[f32]) -> Result<bool> {
+    pub fn accumulate_f32(&self, buf: &mut PlacedBuf, delta: &[f32]) -> Result<bool> {
         if buf.dtype != DType::F32 || delta.len() != buf.numel {
             return Err(Error::shape("accumulate_f32 size/dtype mismatch"));
         }
-        match &mut buf.ram {
-            Some(ram) => ram.accumulate_f32(delta),
-            None => {
-                // One pinned buffer held across every chunk bounds the
-                // transfer memory of the whole read-modify-write pass
-                // (Sec. 6.3); its size sets the chunk granularity.
-                let staging = self.pinned.acquire();
-                let chunk = (staging.capacity() / DType::F32.size_in_bytes()).max(1);
-                let es = DType::F32.size_in_bytes() as u64;
-                let mut nonfinite = false;
-                let mut start = 0usize;
-                while start < buf.numel {
-                    let len = chunk.min(buf.numel - start);
-                    let off = buf.block.offset + start as u64 * es;
-                    let nbytes = DType::F32.bytes_for(len);
-                    let ticket = self.nvme.submit_read(off, nbytes);
-                    let bytes = self
-                        .nvme
-                        .wait(ticket)?
-                        .ok_or_else(|| Error::Internal("read returned no data".into()))?;
-                    let mut bytes = self.verify_or_reread(off, nbytes, bytes)?;
-                    for (c, d) in bytes.chunks_exact_mut(4).zip(&delta[start..start + len]) {
-                        let sum = f32::from_le_bytes([c[0], c[1], c[2], c[3]]) + d;
-                        nonfinite |= !sum.is_finite();
-                        c.copy_from_slice(&sum.to_le_bytes());
-                    }
-                    self.resilience.record(off, &bytes);
-                    let ticket = self.nvme.submit_write(off, bytes);
-                    self.nvme.wait(ticket)?;
-                    start += len;
+        // One pinned buffer held across every chunk bounds the transfer
+        // memory of the whole read-modify-write pass (Sec. 6.3); its size
+        // sets the chunk granularity.
+        let staging = buf.is_offloaded().then(|| self.pinned.acquire());
+        let chunk = staging.as_ref().map_or(1, |s| (s.capacity() / 4).max(1));
+        let mut nonfinite = false;
+        for seg in &mut buf.segments {
+            let delta = &delta[seg.start..seg.end()];
+            if let Some(ram) = &mut seg.ram {
+                nonfinite |= ram.accumulate_f32(delta)?;
+                continue;
+            }
+            for (k, delta) in delta.chunks(chunk).enumerate() {
+                let off = seg.block.offset + (k * chunk * 4) as u64;
+                let nbytes = delta.len() * 4;
+                let ticket = self.nvme.submit_read(off, nbytes);
+                let bytes = self
+                    .nvme
+                    .wait(ticket)?
+                    .ok_or_else(|| Error::Internal("read returned no data".into()))?;
+                let mut bytes = self.verify_or_reread(off, nbytes, bytes)?;
+                for (c, d) in bytes.chunks_exact_mut(4).zip(delta) {
+                    let sum = f32::from_le_bytes([c[0], c[1], c[2], c[3]]) + d;
+                    nonfinite |= !sum.is_finite();
+                    c.copy_from_slice(&sum.to_le_bytes());
                 }
-                drop(staging);
-                Ok(nonfinite)
+                self.resilience.record(off, &bytes);
+                let ticket = self.nvme.submit_write(off, bytes);
+                self.nvme.wait(ticket)?;
             }
         }
+        drop(staging);
+        Ok(nonfinite)
     }
 
-    /// Replace the buffer's entire contents.
-    pub fn overwrite(&self, buf: &mut DeviceBuf, data: &FlatBuffer) -> Result<()> {
+    /// Replace the buffer's entire contents, each segment over its own
+    /// path; NVMe writes are durable before this returns.
+    pub fn overwrite(&self, buf: &mut PlacedBuf, data: &FlatBuffer) -> Result<()> {
         if data.numel() != buf.numel || data.dtype() != buf.dtype {
             return Err(Error::shape("overwrite size/dtype mismatch"));
         }
-        match &mut buf.ram {
-            Some(ram) => {
-                *ram = data.clone();
-                Ok(())
-            }
-            None => {
-                let _staging = self.pinned.acquire();
-                let ticket = self.nvme.submit_write(buf.block.offset, data.as_bytes().to_vec());
-                self.nvme.wait(ticket)?;
-                self.resilience.record(buf.block.offset, data.as_bytes());
-                Ok(())
-            }
-        }
-    }
-
-    /// Overwrite elements starting at `start` with `data`.
-    pub fn overwrite_elems(
-        &self,
-        buf: &mut DeviceBuf,
-        start: usize,
-        data: &FlatBuffer,
-    ) -> Result<()> {
-        if data.dtype() != buf.dtype || start + data.numel() > buf.numel {
-            return Err(Error::shape("overwrite_elems size/dtype mismatch"));
-        }
-        match &mut buf.ram {
-            Some(ram) => ram.write_slice(start, data),
-            None => {
-                let es = buf.dtype.size_in_bytes() as u64;
-                let off = buf.block.offset + start as u64 * es;
-                let _staging = self.pinned.acquire();
-                let ticket = self.nvme.submit_write(off, data.as_bytes().to_vec());
-                self.nvme.wait(ticket)?;
-                // A partial overwrite invalidates the whole-buffer CRC
-                // and records one for the sub-extent it wrote.
-                self.resilience.record(off, data.as_bytes());
-                Ok(())
-            }
-        }
-    }
-
-    /// Asynchronously overwrite the buffer (gradient offload overlap,
-    /// Sec. 6.2); completion is guaranteed only after [`Self::flush`].
-    pub fn overwrite_async(&self, buf: &mut DeviceBuf, data: &FlatBuffer) -> Result<()> {
-        if data.numel() != buf.numel || data.dtype() != buf.dtype {
-            return Err(Error::shape("overwrite_async size/dtype mismatch"));
-        }
-        match &mut buf.ram {
-            Some(ram) => {
-                *ram = data.clone();
-                Ok(())
-            }
-            None => {
-                // Record the CRC at submission: the detached write either
-                // lands these exact bytes or reports failure at `flush`.
-                self.resilience.record(buf.block.offset, data.as_bytes());
-                self.nvme.submit_write_detached(buf.block.offset, data.as_bytes().to_vec());
-                Ok(())
-            }
-        }
+        let _staging = buf.is_offloaded().then(|| self.pinned.acquire());
+        let mut wb = WriteBehind::new(buf.segments.len());
+        let written = wb.submit(self, buf, 0, data);
+        written.and(wb.drain(self))
     }
 
     /// Drain all outstanding NVMe requests.
     ///
     /// A device failure here degrades the node instead of erroring: new
-    /// stores already avoid the device, and lost detached writes are
-    /// caught by the checksum registry when (if ever) the extent is read.
-    /// Durability of a dead device is moot, so training continues.
+    /// stores already avoid the device, and durability of a dead device
+    /// is moot, so training continues.
     pub fn flush(&self) -> Result<()> {
         match self.nvme.flush() {
             Err(e) if e.is_device_failure() => {
-                self.latch_degraded();
+                self.resilience.latch_degraded(&self.tracer, &self.placement);
                 Ok(())
             }
             r => r,
         }
     }
 
-    /// Release the buffer's device memory.
-    pub fn free(&self, buf: DeviceBuf) {
-        if buf.device.kind == DeviceKind::Nvme {
+    /// Re-publish every NVMe-resident segment to CPU DRAM, leaving
+    /// DRAM-resident segments untouched, then release the NVMe extents;
+    /// each moved segment counts one failover. This is the graceful
+    /// degradation path: when the node degrades while the device still
+    /// answers reads (explicit degrade, health-driven collapse), the
+    /// NVMe-resident *half* of a split shard is preserved rather than
+    /// dropped with the store. Reads are checksum-verified; a dead device
+    /// surfaces its typed error so the caller falls back to checkpoint
+    /// recovery.
+    pub fn collapse(&self, buf: &mut PlacedBuf) -> Result<()> {
+        for seg in &mut buf.segments {
+            if seg.ram.is_some() {
+                continue;
+            }
+            let data = self.begin_part(buf.dtype, seg, 0, seg.len)?.wait(self, buf.dtype)?;
+            let cpu = self.store_segment(Device::cpu(), seg.start, data)?;
+            self.fail_over();
+            self.free_segment(std::mem::replace(seg, cpu));
+        }
+        buf.policy = buf.policy.map(|_| PlacementPolicy::all_cpu());
+        Ok(())
+    }
+
+    /// Move a buffer to a new placement: load it whole, store it under
+    /// `policy`, free the old segments. The re-tier knob's mechanism —
+    /// bit-preserving by construction (load/store round trip), so
+    /// placement moves are numerically invisible.
+    pub fn retier(&self, buf: &mut PlacedBuf, device: Device, policy: PlacementPolicy) -> Result<()> {
+        let fresh = self.store(device, Some(policy), self.load(buf)?)?;
+        self.free(std::mem::replace(buf, fresh));
+        Ok(())
+    }
+
+    /// Release every segment's device memory.
+    pub fn free(&self, buf: PlacedBuf) {
+        for seg in buf.segments {
+            self.free_segment(seg);
+        }
+    }
+
+    fn free_segment(&self, seg: Segment) {
+        if seg.device.kind == DeviceKind::Nvme {
             // Drop stale checksums so a future tenant of this extent is
             // not verified against our data.
-            self.resilience.invalidate(buf.block.offset, buf.block.len);
+            self.resilience.invalidate(seg.block.offset, seg.block.len);
         }
-        self.hierarchy.free(buf.device, buf.block);
+        self.hierarchy.free(seg.device, seg.block);
     }
 }
 
@@ -797,13 +882,11 @@ impl OffloadManager {
 /// out the oldest one (back-pressure), so a slow device throttles the
 /// pipeline instead of ballooning queued memory.
 ///
-/// Unlike [`OffloadManager::overwrite_async`]'s detached writes — whose
-/// failures are deferred to the `flush` barrier — every write-behind
-/// ticket is waited in [`WriteBehind::drain`] (or during back-pressure),
-/// so write failures surface as typed errors on the step path itself:
-/// transient faults are retried inside the engine exactly as before, and
-/// a device-death error reaches the trainer's recovery loop rather than
-/// being discovered at end-of-iteration.
+/// Every write-behind ticket is waited in [`WriteBehind::drain`] (or
+/// during back-pressure), so write failures surface as typed errors on
+/// the step path itself: transient faults are retried inside the engine,
+/// and a device-death error reaches the trainer's recovery loop rather
+/// than being discovered at end-of-iteration.
 pub struct WriteBehind {
     window: usize,
     inflight: VecDeque<Ticket>,
@@ -821,52 +904,75 @@ impl WriteBehind {
         self.inflight.len()
     }
 
-    /// Queue an overwrite of `buf[start .. start + data.numel())`.
-    ///
-    /// RAM-resident buffers are written synchronously (there is nothing
-    /// to overlap); NVMe buffers go through the bounded async window.
-    pub fn submit_elems(
+    /// Queue an overwrite of `buf[start .. start + data.numel())`: NVMe
+    /// parts enter the bounded async window, DRAM parts land
+    /// synchronously (under a cp-hop span for optimizer state) — the
+    /// write half of the two-path stream. A range inside one segment
+    /// passes `data` through uncopied.
+    pub fn submit(
         &mut self,
         mgr: &OffloadManager,
-        buf: &mut DeviceBuf,
+        buf: &mut PlacedBuf,
         start: usize,
         data: &FlatBuffer,
     ) -> Result<()> {
-        if data.dtype() != buf.dtype || start + data.numel() > buf.numel {
-            return Err(Error::shape("write-behind size/dtype mismatch"));
+        if data.dtype() != buf.dtype {
+            return Err(Error::shape("write-behind dtype mismatch"));
         }
-        match &mut buf.ram {
-            Some(ram) => ram.write_slice(start, data),
-            None => {
-                // Harvest writes that already completed before deciding to
-                // block: FIFO service completes the oldest tickets first,
-                // so reaping from the front retires everything the device
-                // has finished. This keeps the window bound meaningful
-                // (in-flight requests, not unclaimed completions) and
-                // makes the stall counter a true back-pressure signal —
-                // it fires only when the device is genuinely behind.
-                while let Some(&oldest) = self.inflight.front() {
-                    if !mgr.nvme.is_ready(oldest) {
-                        break;
-                    }
-                    self.inflight.pop_front();
-                    mgr.nvme.wait(oldest)?;
+        let end = buf.check_range("write-behind", start, data.numel())?;
+        let (dtype, placed) = (buf.dtype, buf.policy.is_some());
+        let touched = buf.overlapping(start, end);
+        for seg in &mut buf.segments[touched] {
+            let (lo, hi) = (seg.start.max(start), seg.end().min(end));
+            let sliced;
+            let part = if lo == start && hi == end {
+                data
+            } else {
+                sliced = data.slice(lo - start, hi - lo)?;
+                &sliced
+            };
+            let bytes = part.size_in_bytes();
+            let _hop = mgr.cp_hop(placed, seg.path(), "cp.write", Counter::CpWriteBytes, bytes, lo);
+            match &mut seg.ram {
+                Some(ram) => ram.write_slice(lo - seg.start, part)?,
+                None => {
+                    let offset = seg.block.offset + dtype.bytes_for(lo - seg.start) as u64;
+                    self.submit_nvme(mgr, offset, part)?;
                 }
-                if self.inflight.len() >= self.window {
-                    // Back-pressure: the device is behind the pipeline.
-                    mgr.tracer.count(Counter::WbStalls, 1);
-                    let oldest = self.inflight.pop_front().expect("window non-empty");
-                    mgr.nvme.wait(oldest)?;
-                }
-                let es = buf.dtype.size_in_bytes() as u64;
-                let off = buf.block.offset + start as u64 * es;
-                // CRC recorded at submission: the ticketed write either
-                // lands these exact bytes or a wait surfaces the failure.
-                mgr.resilience.record(off, data.as_bytes());
-                self.inflight.push_back(mgr.nvme.submit_write(off, data.as_bytes().to_vec()));
-                Ok(())
             }
         }
+        Ok(())
+    }
+
+    /// Queue one NVMe write of `data` at device `offset` into the window.
+    fn submit_nvme(&mut self, mgr: &OffloadManager, offset: u64, data: &FlatBuffer) -> Result<()> {
+        // Harvest writes that already completed before deciding to block:
+        // FIFO service completes the oldest tickets first, so reaping from
+        // the front retires everything the device has finished. This
+        // keeps the window bound meaningful (in-flight requests, not
+        // unclaimed completions) and makes the stall counter a true
+        // back-pressure signal — it fires only when the device is
+        // genuinely behind.
+        while let Some(&oldest) = self.inflight.front() {
+            if !mgr.nvme.is_ready(oldest) {
+                break;
+            }
+            self.inflight.pop_front();
+            mgr.nvme.wait(oldest)?;
+        }
+        if self.inflight.len() >= self.window {
+            // Back-pressure: the device is behind the pipeline.
+            mgr.tracer.count(Counter::WbStalls, 1);
+            let Some(oldest) = self.inflight.pop_front() else {
+                return Err(Error::Internal("full write-behind window held no ticket".into()));
+            };
+            mgr.nvme.wait(oldest)?;
+        }
+        // CRC recorded at submission: the ticketed write either lands
+        // these exact bytes or a wait surfaces the failure.
+        mgr.resilience.record(offset, data.as_bytes());
+        self.inflight.push_back(mgr.nvme.submit_write(offset, data.as_bytes().to_vec()));
+        Ok(())
     }
 
     /// Wait out every queued write, surfacing the first failure as a
@@ -896,390 +1002,6 @@ impl Drop for WriteBehind {
     }
 }
 
-/// One contiguous piece of a placed shard: a [`DeviceBuf`] plus its
-/// element offset within the logical shard.
-#[derive(Debug)]
-pub struct PlacedSegment {
-    start: usize,
-    buf: DeviceBuf,
-}
-
-impl PlacedSegment {
-    /// First shard element this segment covers.
-    pub fn start(&self) -> usize {
-        self.start
-    }
-
-    /// Elements in this segment.
-    pub fn len(&self) -> usize {
-        self.buf.numel()
-    }
-
-    /// True when the segment holds no elements (never constructed).
-    pub fn is_empty(&self) -> bool {
-        self.buf.numel() == 0
-    }
-
-    /// One past the last shard element this segment covers.
-    pub fn end(&self) -> usize {
-        self.start + self.buf.numel()
-    }
-
-    /// The path the segment currently resolves through. A segment
-    /// *planned* for NVMe reports [`PathKind::Cpu`] after a failover
-    /// moved its bytes to DRAM — readers care where the bytes are, not
-    /// where the plan wanted them.
-    pub fn path(&self) -> PathKind {
-        self.buf.path()
-    }
-
-    /// The backing buffer.
-    pub fn buf(&self) -> &DeviceBuf {
-        &self.buf
-    }
-}
-
-/// One logical shard stored under a placement plan: an ordered,
-/// disjoint, exhaustive list of per-path [`DeviceBuf`] segments.
-///
-/// This is the "placement plan per shard" generalization of the old
-/// one-backing-store model: a [`PlacementPolicy`] split places part of
-/// the shard in CPU DRAM (the cp path) and the rest on NVMe (the nc
-/// path), and every ranged operation fans out across the segments it
-/// touches — so a streamed pass drives both paths concurrently.
-#[derive(Debug)]
-pub struct PlacedBuf {
-    dtype: DType,
-    numel: usize,
-    segments: Vec<PlacedSegment>,
-}
-
-impl PlacedBuf {
-    /// Element type.
-    pub fn dtype(&self) -> DType {
-        self.dtype
-    }
-
-    /// Number of elements across all segments.
-    pub fn numel(&self) -> usize {
-        self.numel
-    }
-
-    /// Size in bytes across all segments.
-    pub fn size_in_bytes(&self) -> usize {
-        self.dtype.bytes_for(self.numel)
-    }
-
-    /// The segments, ordered by `start`, disjoint and exhaustive.
-    pub fn segments(&self) -> &[PlacedSegment] {
-        &self.segments
-    }
-
-    /// Elements currently resolving through `path`.
-    pub fn elems_on(&self, path: PathKind) -> usize {
-        self.segments.iter().filter(|s| s.path() == path).map(|s| s.len()).sum()
-    }
-
-    /// True when the shard is split across both paths.
-    pub fn is_split(&self) -> bool {
-        self.elems_on(PathKind::Nvme) > 0 && self.elems_on(PathKind::Cpu) > 0
-    }
-
-    /// True when any part of the shard still lives on the NVMe device.
-    pub fn is_offloaded(&self) -> bool {
-        self.segments.iter().any(|s| s.buf.is_offloaded())
-    }
-}
-
-/// A placed load in flight: one [`PendingLoad`] per touched segment.
-/// CPU-path parts resolve immediately; NVMe parts stay queued on the
-/// device — so waiting a placed pending overlaps exactly the nc share
-/// of the range.
-pub struct PlacedPending {
-    dtype: DType,
-    len: usize,
-    /// `(offset within the requested range, part)`, in range order.
-    parts: Vec<(usize, PendingLoad)>,
-}
-
-impl PlacedPending {
-    /// Block until every part landed and assemble the range.
-    pub fn wait(mut self, mgr: &OffloadManager) -> Result<FlatBuffer> {
-        if self.parts.len() == 1 {
-            let (off, part) = self.parts.pop().expect("checked above");
-            debug_assert_eq!(off, 0);
-            return part.wait(mgr);
-        }
-        let mut bytes = vec![0u8; self.dtype.bytes_for(self.len)];
-        for (off, part) in self.parts {
-            let fb = part.wait(mgr)?;
-            let lo = self.dtype.bytes_for(off);
-            bytes[lo..lo + fb.size_in_bytes()].copy_from_slice(fb.as_bytes());
-        }
-        FlatBuffer::from_bytes(self.dtype, bytes)
-    }
-
-    /// True if any part still has an outstanding NVMe request.
-    pub fn is_async(&self) -> bool {
-        self.parts.iter().any(|(_, p)| p.is_async())
-    }
-
-    /// True once every part is available without blocking.
-    pub fn ready(&self, mgr: &OffloadManager) -> bool {
-        self.parts.iter().all(|(_, p)| p.ready(mgr))
-    }
-}
-
-impl OffloadManager {
-    /// The device a placement path maps to.
-    fn path_device(path: PathKind) -> Device {
-        match path {
-            PathKind::Cpu => Device::cpu(),
-            PathKind::Nvme => Device::nvme(),
-        }
-    }
-
-    /// Store `data` on `device` under `policy`.
-    ///
-    /// Only NVMe-tier stores split: `policy` decides what fraction of
-    /// the shard stays in CPU DRAM (interleaved at the policy's stripe),
-    /// and the rest goes to the device. GPU/CPU-tier stores ignore the
-    /// policy (one RAM segment). A degraded node collapses the plan to
-    /// all-CPU up front, and an NVMe segment whose write dies mid-store
-    /// fails over *alone* — the other segments keep their placement
-    /// (this is the placement-aware fix for the old whole-shard
-    /// failover assumption).
-    pub fn store_placed(
-        &self,
-        device: Device,
-        policy: &PlacementPolicy,
-        data: FlatBuffer,
-    ) -> Result<PlacedBuf> {
-        let dtype = data.dtype();
-        let numel = data.numel();
-        if device.kind != DeviceKind::Nvme {
-            let buf = self.store(device, data)?;
-            return Ok(PlacedBuf { dtype, numel, segments: vec![PlacedSegment { start: 0, buf }] });
-        }
-        let policy = if self.is_degraded() { PlacementPolicy::all_cpu() } else { *policy };
-        let plan = policy.plan(numel);
-        let mut segments: Vec<PlacedSegment> = Vec::with_capacity(plan.segments().len());
-        for seg in plan.segments() {
-            let part = if plan.is_single_path() && seg.len == numel {
-                data.clone()
-            } else {
-                data.slice(seg.start, seg.len)?
-            };
-            let target = Self::path_device(seg.path);
-            if seg.path == PathKind::Cpu {
-                let mut span = self.tracer.span(Category::CpTransfer, "cp.store");
-                span.set_bytes(part.size_in_bytes() as u64);
-                self.tracer.count(Counter::CpWriteBytes, part.size_in_bytes() as u64);
-            }
-            // `store` handles the per-segment failover: a device death
-            // mid-write moves only this segment's bytes to CPU.
-            match self.store(target, part) {
-                Ok(buf) => segments.push(PlacedSegment { start: seg.start, buf }),
-                Err(e) => {
-                    for stored in segments {
-                        self.free(stored.buf);
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        Ok(PlacedBuf { dtype, numel, segments })
-    }
-
-    /// Load the entire placed shard, reassembling split segments.
-    pub fn load_placed(&self, buf: &PlacedBuf) -> Result<FlatBuffer> {
-        if buf.segments.len() == 1 {
-            return self.load(&buf.segments[0].buf);
-        }
-        let mut bytes = vec![0u8; buf.size_in_bytes()];
-        for seg in &buf.segments {
-            let fb = self.load(&seg.buf)?;
-            let lo = buf.dtype.bytes_for(seg.start);
-            bytes[lo..lo + fb.size_in_bytes()].copy_from_slice(fb.as_bytes());
-        }
-        FlatBuffer::from_bytes(buf.dtype, bytes)
-    }
-
-    /// Begin an asynchronous load of elements `[start, start+len)` of a
-    /// placed shard. NVMe parts are issued to the device immediately;
-    /// CPU-DRAM parts are materialized here under a cp-hop span — so a
-    /// pipelined caller streams both paths concurrently.
-    pub fn begin_load_elems_placed(
-        &self,
-        buf: &PlacedBuf,
-        start: usize,
-        len: usize,
-    ) -> Result<PlacedPending> {
-        if start + len > buf.numel {
-            return Err(Error::shape(format!(
-                "begin_load_elems_placed [{start}, {}) out of shard of {} elements",
-                start + len,
-                buf.numel
-            )));
-        }
-        let end = start + len;
-        let mut parts = Vec::new();
-        for seg in &buf.segments {
-            if seg.end() <= start {
-                continue;
-            }
-            if seg.start() >= end {
-                break;
-            }
-            let lo = seg.start().max(start);
-            let hi = seg.end().min(end);
-            let part = if seg.path() == PathKind::Cpu {
-                let nbytes = buf.dtype.bytes_for(hi - lo) as u64;
-                let mut span = self.tracer.span(Category::CpTransfer, "cp.read");
-                span.set_bytes(nbytes);
-                span.set_id(lo as u64);
-                let p = self.begin_load_elems(&seg.buf, lo - seg.start(), hi - lo)?;
-                self.tracer.count(Counter::CpReadBytes, nbytes);
-                p
-            } else {
-                self.begin_load_elems(&seg.buf, lo - seg.start(), hi - lo)?
-            };
-            parts.push((lo - start, part));
-        }
-        Ok(PlacedPending { dtype: buf.dtype, len, parts })
-    }
-
-    /// Replace the placed shard's entire contents, each segment over its
-    /// own path.
-    pub fn overwrite_placed(&self, buf: &mut PlacedBuf, data: &FlatBuffer) -> Result<()> {
-        if data.numel() != buf.numel || data.dtype() != buf.dtype {
-            return Err(Error::shape("overwrite_placed size/dtype mismatch"));
-        }
-        let single = buf.segments.len() == 1;
-        for seg in &mut buf.segments {
-            let part = if single { data.clone() } else { data.slice(seg.start, seg.buf.numel())? };
-            if seg.path() == PathKind::Cpu {
-                let mut span = self.tracer.span(Category::CpTransfer, "cp.write");
-                span.set_bytes(part.size_in_bytes() as u64);
-                self.tracer.count(Counter::CpWriteBytes, part.size_in_bytes() as u64);
-            }
-            self.overwrite(&mut seg.buf, &part)?;
-        }
-        Ok(())
-    }
-
-    /// Asynchronously overwrite the placed shard: NVMe segments go out
-    /// as detached writes (completion at [`Self::flush`]), CPU segments
-    /// land synchronously under a cp-hop span.
-    pub fn overwrite_async_placed(&self, buf: &mut PlacedBuf, data: &FlatBuffer) -> Result<()> {
-        if data.numel() != buf.numel || data.dtype() != buf.dtype {
-            return Err(Error::shape("overwrite_async_placed size/dtype mismatch"));
-        }
-        let single = buf.segments.len() == 1;
-        for seg in &mut buf.segments {
-            let part = if single { data.clone() } else { data.slice(seg.start, seg.buf.numel())? };
-            if seg.path() == PathKind::Cpu {
-                let mut span = self.tracer.span(Category::CpTransfer, "cp.write");
-                span.set_bytes(part.size_in_bytes() as u64);
-                self.tracer.count(Counter::CpWriteBytes, part.size_in_bytes() as u64);
-            }
-            self.overwrite_async(&mut seg.buf, &part)?;
-        }
-        Ok(())
-    }
-
-    /// Re-publish every NVMe-resident segment of a split shard to CPU
-    /// DRAM, leaving DRAM-resident segments untouched, then release the
-    /// NVMe extents. This is the graceful degradation path: when the
-    /// node degrades while the device still answers reads (explicit
-    /// degrade, health-driven collapse), the NVMe-resident *half* of a
-    /// split shard is preserved rather than dropped with the store.
-    /// Reads are checksum-verified; a dead device surfaces its typed
-    /// error so the caller falls back to checkpoint recovery.
-    pub fn collapse_placed(&self, buf: &mut PlacedBuf) -> Result<()> {
-        for seg in &mut buf.segments {
-            if !seg.buf.is_offloaded() {
-                continue;
-            }
-            let data = self.load(&seg.buf)?;
-            let cpu = self.store(Device::cpu(), data)?;
-            self.resilience.failovers.fetch_add(1, Ordering::Relaxed);
-            let old = std::mem::replace(&mut seg.buf, cpu);
-            self.free(old);
-        }
-        Ok(())
-    }
-
-    /// Move a placed shard to a new placement: load it whole, store it
-    /// under `policy`, free the old segments. The re-tier knob's
-    /// mechanism — bit-preserving by construction (load/store round
-    /// trip), so placement moves are numerically invisible.
-    pub fn retier_placed(
-        &self,
-        buf: &mut PlacedBuf,
-        device: Device,
-        policy: &PlacementPolicy,
-    ) -> Result<()> {
-        let data = self.load_placed(buf)?;
-        let fresh = self.store_placed(device, policy, data)?;
-        let old = std::mem::replace(buf, fresh);
-        self.free_placed(old);
-        Ok(())
-    }
-
-    /// Release every segment of a placed shard.
-    pub fn free_placed(&self, buf: PlacedBuf) {
-        for seg in buf.segments {
-            self.free(seg.buf);
-        }
-    }
-}
-
-impl WriteBehind {
-    /// Queue an overwrite of `buf[start .. start + data.numel())` of a
-    /// placed shard: NVMe parts enter the bounded async window, CPU
-    /// parts land synchronously under a cp-hop span — the write half of
-    /// the two-path stream.
-    pub fn submit_elems_placed(
-        &mut self,
-        mgr: &OffloadManager,
-        buf: &mut PlacedBuf,
-        start: usize,
-        data: &FlatBuffer,
-    ) -> Result<()> {
-        if data.dtype() != buf.dtype || start + data.numel() > buf.numel {
-            return Err(Error::shape("write-behind size/dtype mismatch"));
-        }
-        let end = start + data.numel();
-        let single = buf.segments.len() == 1;
-        for seg in &mut buf.segments {
-            if seg.end() <= start {
-                continue;
-            }
-            if seg.start() >= end {
-                break;
-            }
-            let lo = seg.start().max(start);
-            let hi = seg.end().min(end);
-            let part = if single && lo == start && hi == end {
-                data.clone()
-            } else {
-                data.slice(lo - start, hi - lo)?
-            };
-            if seg.path() == PathKind::Cpu {
-                let mut span = mgr.tracer.span(Category::CpTransfer, "cp.write");
-                span.set_bytes(part.size_in_bytes() as u64);
-                span.set_id(lo as u64);
-                mgr.tracer.count(Counter::CpWriteBytes, part.size_in_bytes() as u64);
-                self.submit_elems(mgr, &mut seg.buf, lo - seg.start, &part)?;
-            } else {
-                self.submit_elems(mgr, &mut seg.buf, lo - seg.start, &part)?;
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -1293,14 +1015,20 @@ pub(crate) mod tests {
         FlatBuffer::from_f32(DType::F32, vals)
     }
 
+    /// The device a single-tier buffer's bytes live on.
+    fn device_of(buf: &PlacedBuf) -> Device {
+        assert_eq!(buf.segments.len(), 1, "single-tier buffers have one segment");
+        buf.segments[0].device
+    }
+
     #[test]
     fn store_load_round_trip_every_tier() {
         let node = node();
         let mgr = node.offload_manager();
         for device in [Device::gpu(0), Device::cpu(), Device::nvme()] {
             let data = buf_f32(&[1.0, -2.0, 3.5]);
-            let buf = mgr.store(device, data.clone()).unwrap();
-            assert_eq!(buf.device(), device);
+            let buf = mgr.store(device, None, data.clone()).unwrap();
+            assert_eq!(device_of(&buf), device);
             assert_eq!(buf.numel(), 3);
             let back = mgr.load(&buf).unwrap();
             assert_eq!(back.to_f32_vec(), data.to_f32_vec(), "tier {device}");
@@ -1314,10 +1042,12 @@ pub(crate) mod tests {
         let node = node();
         let mgr = node.offload_manager();
         for device in [Device::cpu(), Device::nvme()] {
-            let mut buf = mgr.store(device, buf_f32(&[0.0, 1.0, 2.0, 3.0, 4.0])).unwrap();
-            let mid = mgr.load_elems(&buf, 1, 3).unwrap();
+            let mut buf = mgr.store(device, None, buf_f32(&[0.0, 1.0, 2.0, 3.0, 4.0])).unwrap();
+            let mid = mgr.begin_load(&buf, 1, 3).unwrap().wait(&mgr).unwrap();
             assert_eq!(mid.to_f32_vec(), vec![1.0, 2.0, 3.0]);
-            mgr.overwrite_elems(&mut buf, 2, &buf_f32(&[9.0, 8.0])).unwrap();
+            let mut wb = WriteBehind::new(1);
+            wb.submit(&mgr, &mut buf, 2, &buf_f32(&[9.0, 8.0])).unwrap();
+            wb.drain(&mgr).unwrap();
             assert_eq!(mgr.load(&buf).unwrap().to_f32_vec(), vec![0.0, 1.0, 9.0, 8.0, 4.0]);
             mgr.free(buf);
         }
@@ -1329,10 +1059,10 @@ pub(crate) mod tests {
         let node = NodeResources::in_memory(&spec, 1);
         let mgr = node.offload_manager();
         // 5 f32 = 20 bytes > 16-byte GPU pool.
-        let err = mgr.store(Device::gpu(0), buf_f32(&[0.0; 5])).unwrap_err();
+        let err = mgr.store(Device::gpu(0), None, buf_f32(&[0.0; 5])).unwrap_err();
         assert!(err.is_oom());
         // Same data fits on CPU.
-        let buf = mgr.store(Device::cpu(), buf_f32(&[0.0; 5])).unwrap();
+        let buf = mgr.store(Device::cpu(), None, buf_f32(&[0.0; 5])).unwrap();
         mgr.free(buf);
     }
 
@@ -1340,8 +1070,8 @@ pub(crate) mod tests {
     fn async_load_overlaps() {
         let node = node();
         let mgr = node.offload_manager();
-        let buf = mgr.store(Device::nvme(), buf_f32(&[7.0; 64])).unwrap();
-        let pending = mgr.begin_load(&buf).unwrap();
+        let buf = mgr.store(Device::nvme(), None, buf_f32(&[7.0; 64])).unwrap();
+        let pending = mgr.begin_load(&buf, 0, 64).unwrap();
         assert!(pending.is_async());
         // ... compute would happen here ...
         let data = pending.wait(&mgr).unwrap();
@@ -1353,21 +1083,10 @@ pub(crate) mod tests {
     fn cpu_loads_resolve_immediately() {
         let node = node();
         let mgr = node.offload_manager();
-        let buf = mgr.store(Device::cpu(), buf_f32(&[1.0, 2.0])).unwrap();
-        let pending = mgr.begin_load(&buf).unwrap();
+        let buf = mgr.store(Device::cpu(), None, buf_f32(&[1.0, 2.0])).unwrap();
+        let pending = mgr.begin_load(&buf, 0, 2).unwrap();
         assert!(!pending.is_async());
         assert_eq!(pending.wait(&mgr).unwrap().to_f32_vec(), vec![1.0, 2.0]);
-        mgr.free(buf);
-    }
-
-    #[test]
-    fn async_overwrite_visible_after_flush() {
-        let node = node();
-        let mgr = node.offload_manager();
-        let mut buf = mgr.store(Device::nvme(), buf_f32(&[0.0; 8])).unwrap();
-        mgr.overwrite_async(&mut buf, &buf_f32(&[5.0; 8])).unwrap();
-        mgr.flush().unwrap();
-        assert_eq!(mgr.load(&buf).unwrap().to_f32_vec(), vec![5.0; 8]);
         mgr.free(buf);
     }
 
@@ -1390,7 +1109,7 @@ pub(crate) mod tests {
     fn silent_corruption_is_detected_and_repaired_by_reread() {
         let (plan, node) = faulty_node();
         let mgr = node.offload_manager();
-        let buf = mgr.store(Device::nvme(), buf_f32(&[3.25; 128])).unwrap();
+        let buf = mgr.store(Device::nvme(), None, buf_f32(&[3.25; 128])).unwrap();
         plan.bitflip_next_reads(1); // first read returns a poisoned buffer
         let data = mgr.load(&buf).unwrap();
         assert_eq!(data.to_f32_vec(), vec![3.25; 128]);
@@ -1405,7 +1124,7 @@ pub(crate) mod tests {
     fn persistent_corruption_surfaces_typed_error() {
         let (plan, node) = faulty_node();
         let mgr = node.offload_manager();
-        let buf = mgr.store(Device::nvme(), buf_f32(&[1.0; 64])).unwrap();
+        let buf = mgr.store(Device::nvme(), None, buf_f32(&[1.0; 64])).unwrap();
         // Poison the initial read and every re-read.
         plan.bitflip_next_reads(1 + super::CORRUPTION_REREADS);
         let err = mgr.load(&buf).unwrap_err();
@@ -1418,9 +1137,9 @@ pub(crate) mod tests {
     fn prefetched_load_verifies_too() {
         let (plan, node) = faulty_node();
         let mgr = node.offload_manager();
-        let buf = mgr.store(Device::nvme(), buf_f32(&[9.0; 32])).unwrap();
+        let buf = mgr.store(Device::nvme(), None, buf_f32(&[9.0; 32])).unwrap();
         plan.bitflip_next_reads(1);
-        let pending = mgr.begin_load(&buf).unwrap();
+        let pending = mgr.begin_load(&buf, 0, 32).unwrap();
         let data = pending.wait(&mgr).unwrap();
         assert_eq!(data.to_f32_vec(), vec![9.0; 32]);
         assert_eq!(mgr.health().corruptions_recovered, 1);
@@ -1433,15 +1152,15 @@ pub(crate) mod tests {
         let mgr = node.offload_manager();
         // A store that dies mid-write falls back to CPU with the data.
         plan.kill();
-        let buf = mgr.store(Device::nvme(), buf_f32(&[2.5; 16])).unwrap();
-        assert_eq!(buf.device(), Device::cpu());
+        let buf = mgr.store(Device::nvme(), None, buf_f32(&[2.5; 16])).unwrap();
+        assert_eq!(device_of(&buf), Device::cpu());
         assert_eq!(mgr.load(&buf).unwrap().to_f32_vec(), vec![2.5; 16]);
         let health = mgr.health();
         assert!(health.degraded);
         assert_eq!(health.failovers, 1);
         // Later stores skip the dead device entirely.
-        let buf2 = mgr.store(Device::nvme(), buf_f32(&[4.0; 8])).unwrap();
-        assert_eq!(buf2.device(), Device::cpu());
+        let buf2 = mgr.store(Device::nvme(), None, buf_f32(&[4.0; 8])).unwrap();
+        assert_eq!(device_of(&buf2), Device::cpu());
         assert_eq!(mgr.health().failovers, 2);
         // NVMe capacity was returned when the first store failed over.
         assert_eq!(mgr.hierarchy().stats(Device::nvme()).in_use, 0);
@@ -1454,8 +1173,8 @@ pub(crate) mod tests {
         let (_plan, node) = faulty_node();
         node.degrade();
         let mgr = node.offload_manager();
-        let buf = mgr.store(Device::nvme(), buf_f32(&[1.5; 4])).unwrap();
-        assert_eq!(buf.device(), Device::cpu());
+        let buf = mgr.store(Device::nvme(), None, buf_f32(&[1.5; 4])).unwrap();
+        assert_eq!(device_of(&buf), Device::cpu());
         assert!(mgr.health().degraded);
         mgr.free(buf);
     }
@@ -1465,8 +1184,8 @@ pub(crate) mod tests {
         let (plan, node) = faulty_node();
         let mgr = node.offload_manager();
         plan.fail_next_writes(2); // < max_attempts
-        let buf = mgr.store(Device::nvme(), buf_f32(&[8.0; 8])).unwrap();
-        assert_eq!(buf.device(), Device::nvme());
+        let buf = mgr.store(Device::nvme(), None, buf_f32(&[8.0; 8])).unwrap();
+        assert_eq!(device_of(&buf), Device::nvme());
         assert_eq!(mgr.load(&buf).unwrap().to_f32_vec(), vec![8.0; 8]);
         let health = mgr.health();
         assert!(!health.degraded);
@@ -1479,13 +1198,12 @@ pub(crate) mod tests {
     fn bounds_checked() {
         let node = node();
         let mgr = node.offload_manager();
-        let mut buf = mgr.store(Device::cpu(), buf_f32(&[0.0; 4])).unwrap();
-        assert!(mgr.load_elems(&buf, 3, 2).is_err());
-        assert!(mgr.overwrite_elems(&mut buf, 3, &buf_f32(&[0.0; 2])).is_err());
+        let mut buf = mgr.store(Device::cpu(), None, buf_f32(&[0.0; 4])).unwrap();
         assert!(mgr.overwrite(&mut buf, &buf_f32(&[0.0; 5])).is_err());
-        assert!(mgr.begin_load_elems(&buf, 3, 2).is_err());
+        assert!(mgr.begin_load(&buf, 3, 2).is_err());
+        assert!(mgr.begin_load(&buf, usize::MAX, 2).is_err());
         let mut wb = WriteBehind::new(2);
-        assert!(wb.submit_elems(&mgr, &mut buf, 3, &buf_f32(&[0.0; 2])).is_err());
+        assert!(wb.submit(&mgr, &mut buf, 3, &buf_f32(&[0.0; 2])).is_err());
         mgr.free(buf);
     }
 
@@ -1495,8 +1213,8 @@ pub(crate) mod tests {
         let mgr = node.offload_manager();
         let vals: Vec<f32> = (0..64).map(|i| i as f32).collect();
         for device in [Device::cpu(), Device::nvme()] {
-            let buf = mgr.store(device, buf_f32(&vals)).unwrap();
-            let pending = mgr.begin_load_elems(&buf, 10, 20).unwrap();
+            let buf = mgr.store(device, None, buf_f32(&vals)).unwrap();
+            let pending = mgr.begin_load(&buf, 10, 20).unwrap();
             assert_eq!(pending.is_async(), device.kind == DeviceKind::Nvme);
             assert_eq!(pending.wait(&mgr).unwrap().to_f32_vec(), &vals[10..30]);
             mgr.free(buf);
@@ -1510,10 +1228,12 @@ pub(crate) mod tests {
         // and repaired on a transient bitflip.
         let (plan, node) = faulty_node();
         let mgr = node.offload_manager();
-        let mut buf = mgr.store(Device::nvme(), buf_f32(&[0.0; 32])).unwrap();
-        mgr.overwrite_elems(&mut buf, 8, &buf_f32(&[4.0; 8])).unwrap();
+        let mut buf = mgr.store(Device::nvme(), None, buf_f32(&[0.0; 32])).unwrap();
+        let mut wb = WriteBehind::new(1);
+        wb.submit(&mgr, &mut buf, 8, &buf_f32(&[4.0; 8])).unwrap();
+        wb.drain(&mgr).unwrap();
         plan.bitflip_next_reads(1);
-        let data = mgr.begin_load_elems(&buf, 8, 8).unwrap().wait(&mgr).unwrap();
+        let data = mgr.begin_load(&buf, 8, 8).unwrap().wait(&mgr).unwrap();
         assert_eq!(data.to_f32_vec(), vec![4.0; 8]);
         assert_eq!(mgr.health().corruptions_recovered, 1);
         mgr.free(buf);
@@ -1523,10 +1243,10 @@ pub(crate) mod tests {
     fn write_behind_bounds_inflight_and_lands_every_chunk() {
         let node = node();
         let mgr = node.offload_manager();
-        let mut buf = mgr.store(Device::nvme(), buf_f32(&[0.0; 64])).unwrap();
+        let mut buf = mgr.store(Device::nvme(), None, buf_f32(&[0.0; 64])).unwrap();
         let mut wb = WriteBehind::new(2);
         for k in 0..8 {
-            wb.submit_elems(&mgr, &mut buf, k * 8, &buf_f32(&[k as f32; 8])).unwrap();
+            wb.submit(&mgr, &mut buf, k * 8, &buf_f32(&[k as f32; 8])).unwrap();
             assert!(wb.in_flight() <= 2, "window respected");
         }
         wb.drain(&mgr).unwrap();
@@ -1536,8 +1256,8 @@ pub(crate) mod tests {
             assert_eq!(&back[k * 8..(k + 1) * 8], &[k as f32; 8][..], "chunk {k}");
         }
         // RAM-resident buffers write synchronously through the same API.
-        let mut cbuf = mgr.store(Device::cpu(), buf_f32(&[0.0; 8])).unwrap();
-        wb.submit_elems(&mgr, &mut cbuf, 2, &buf_f32(&[7.0; 4])).unwrap();
+        let mut cbuf = mgr.store(Device::cpu(), None, buf_f32(&[0.0; 8])).unwrap();
+        wb.submit(&mgr, &mut cbuf, 2, &buf_f32(&[7.0; 4])).unwrap();
         assert_eq!(wb.in_flight(), 0);
         assert_eq!(mgr.load(&cbuf).unwrap().to_f32_vec(), vec![0.0, 0.0, 7.0, 7.0, 7.0, 7.0, 0.0, 0.0]);
         mgr.free(buf);
@@ -1548,7 +1268,7 @@ pub(crate) mod tests {
     fn write_behind_surfaces_device_death_as_typed_error() {
         let (plan, node) = faulty_node();
         let mgr = node.offload_manager();
-        let mut buf = mgr.store(Device::nvme(), buf_f32(&[0.0; 16])).unwrap();
+        let mut buf = mgr.store(Device::nvme(), None, buf_f32(&[0.0; 16])).unwrap();
         let mut wb = WriteBehind::new(4);
         plan.kill();
         // Submission harvests already-completed tickets before queuing,
@@ -1556,8 +1276,8 @@ pub(crate) mod tests {
         // retired the first failed write in between) or at drain — the
         // same typed error either way.
         let early = wb
-            .submit_elems(&mgr, &mut buf, 0, &buf_f32(&[1.0; 8]))
-            .and_then(|()| wb.submit_elems(&mgr, &mut buf, 8, &buf_f32(&[2.0; 8])));
+            .submit(&mgr, &mut buf, 0, &buf_f32(&[1.0; 8]))
+            .and_then(|()| wb.submit(&mgr, &mut buf, 8, &buf_f32(&[2.0; 8])));
         let err = match early {
             Ok(()) => wb.drain(&mgr).unwrap_err(),
             Err(e) => {
@@ -1574,10 +1294,10 @@ pub(crate) mod tests {
     fn write_behind_transient_faults_retry_invisibly() {
         let (plan, node) = faulty_node();
         let mgr = node.offload_manager();
-        let mut buf = mgr.store(Device::nvme(), buf_f32(&[0.0; 16])).unwrap();
+        let mut buf = mgr.store(Device::nvme(), None, buf_f32(&[0.0; 16])).unwrap();
         let mut wb = WriteBehind::new(2);
         plan.fail_next_writes(2); // < max_attempts
-        wb.submit_elems(&mgr, &mut buf, 0, &buf_f32(&[3.0; 16])).unwrap();
+        wb.submit(&mgr, &mut buf, 0, &buf_f32(&[3.0; 16])).unwrap();
         wb.drain(&mgr).unwrap();
         assert_eq!(mgr.load(&buf).unwrap().to_f32_vec(), vec![3.0; 16]);
         assert!(mgr.nvme().stats().retries >= 2);
@@ -1589,7 +1309,7 @@ pub(crate) mod tests {
         let node = node();
         let mgr = node.offload_manager();
         for device in [Device::cpu(), Device::nvme()] {
-            let mut buf = mgr.store(device, buf_f32(&[1.0; 40])).unwrap();
+            let mut buf = mgr.store(device, None, buf_f32(&[1.0; 40])).unwrap();
             assert!(!mgr.accumulate_f32(&mut buf, &[0.5; 40]).unwrap(), "tier {device}");
             assert_eq!(mgr.load(&buf).unwrap().to_f32_vec(), vec![1.5; 40]);
             let mut delta = vec![0.0f32; 40];
@@ -1598,7 +1318,7 @@ pub(crate) mod tests {
             mgr.free(buf);
         }
         // Shape/dtype errors are typed, not silent.
-        let mut small = mgr.store(Device::cpu(), buf_f32(&[0.0; 4])).unwrap();
+        let mut small = mgr.store(Device::cpu(), None, buf_f32(&[0.0; 4])).unwrap();
         assert!(mgr.accumulate_f32(&mut small, &[0.0; 5]).is_err());
         mgr.free(small);
     }
@@ -1624,9 +1344,16 @@ pub(crate) mod tests {
         let mgr = node.offload_manager();
         let vals: Vec<f32> = (0..100).map(|i| i as f32).collect();
         let delta: Vec<f32> = (0..100).map(|i| 0.25 * i as f32).collect();
-        let mut buf = mgr.store(Device::nvme(), buf_f32(&vals)).unwrap();
-        assert!(!mgr.accumulate_f32(&mut buf, &delta).unwrap());
         let want: Vec<f32> = vals.iter().zip(&delta).map(|(a, b)| a + b).collect();
+        let mut buf = mgr.store(Device::nvme(), None, buf_f32(&vals)).unwrap();
+        assert!(!mgr.accumulate_f32(&mut buf, &delta).unwrap());
+        assert_eq!(mgr.load(&buf).unwrap().to_f32_vec(), want);
+        mgr.free(buf);
+        // A split buffer accumulates segment by segment on both paths.
+        let split = Some(PlacementPolicy::split(500, 24));
+        let mut buf = mgr.store(Device::nvme(), split, buf_f32(&vals)).unwrap();
+        assert!(buf.is_split());
+        assert!(!mgr.accumulate_f32(&mut buf, &delta).unwrap());
         assert_eq!(mgr.load(&buf).unwrap().to_f32_vec(), want);
         mgr.free(buf);
     }
@@ -1637,14 +1364,14 @@ pub(crate) mod tests {
         let mgr = node.offload_manager();
         let vals: Vec<f32> = (0..256).map(|i| i as f32).collect();
         let policy = PlacementPolicy::split(500, 16);
-        let buf = mgr.store_placed(Device::nvme(), &policy, buf_f32(&vals)).unwrap();
+        let buf = mgr.store(Device::nvme(), Some(policy), buf_f32(&vals)).unwrap();
         assert!(buf.is_split());
-        assert!(buf.segments().len() >= 4, "stripes should interleave, not partition");
+        assert!(buf.segments.len() >= 4, "stripes should interleave, not partition");
         let cpu = buf.elems_on(PathKind::Cpu);
         assert!((112..=144).contains(&cpu), "cpu share {cpu} far from 50%");
         assert_eq!(buf.elems_on(PathKind::Cpu) + buf.elems_on(PathKind::Nvme), 256);
-        assert_eq!(mgr.load_placed(&buf).unwrap().to_f32_vec(), vals);
-        mgr.free_placed(buf);
+        assert_eq!(mgr.load(&buf).unwrap().to_f32_vec(), vals);
+        mgr.free(buf);
         assert_eq!(mgr.hierarchy().stats(Device::cpu()).in_use, 0);
         assert_eq!(mgr.hierarchy().stats(Device::nvme()).in_use, 0);
     }
@@ -1654,22 +1381,18 @@ pub(crate) mod tests {
         let node = node();
         let mgr = node.offload_manager();
         let vals = vec![1.5f32; 32];
-        let nv = mgr
-            .store_placed(Device::nvme(), &PlacementPolicy::all_nvme(), buf_f32(&vals))
-            .unwrap();
-        assert_eq!(nv.segments().len(), 1);
+        let nv = mgr.store(Device::nvme(), Some(PlacementPolicy::all_nvme()), buf_f32(&vals)).unwrap();
+        assert_eq!(nv.segments.len(), 1);
         assert!(nv.is_offloaded());
-        let cp =
-            mgr.store_placed(Device::nvme(), &PlacementPolicy::all_cpu(), buf_f32(&vals)).unwrap();
-        assert_eq!(cp.segments().len(), 1);
+        let cp = mgr.store(Device::nvme(), Some(PlacementPolicy::all_cpu()), buf_f32(&vals)).unwrap();
+        assert_eq!(cp.segments.len(), 1);
         assert!(!cp.is_offloaded());
         // A non-NVMe target ignores the policy entirely.
         let gpu =
-            mgr.store_placed(Device::gpu(0), &PlacementPolicy::split(500, 4), buf_f32(&vals)).unwrap();
-        assert_eq!(gpu.segments().len(), 1);
-        assert_eq!(gpu.segments()[0].buf().device(), Device::gpu(0));
+            mgr.store(Device::gpu(0), Some(PlacementPolicy::split(500, 4)), buf_f32(&vals)).unwrap();
+        assert_eq!(device_of(&gpu), Device::gpu(0));
         for b in [nv, cp, gpu] {
-            mgr.free_placed(b);
+            mgr.free(b);
         }
     }
 
@@ -1679,16 +1402,33 @@ pub(crate) mod tests {
         let mgr = node.offload_manager();
         let vals: Vec<f32> = (0..256).map(|i| (i as f32) * 0.25).collect();
         let buf = mgr
-            .store_placed(Device::nvme(), &PlacementPolicy::split(500, 16), buf_f32(&vals))
+            .store(Device::nvme(), Some(PlacementPolicy::split(500, 16)), buf_f32(&vals))
             .unwrap();
-        let pending = mgr.begin_load_elems_placed(&buf, 5, 100).unwrap();
+        let pending = mgr.begin_load(&buf, 5, 100).unwrap();
         assert!(pending.is_async(), "NVMe part of the range should be queued on the device");
         let got = pending.wait(&mgr).unwrap();
         assert_eq!(got.to_f32_vec(), vals[5..105].to_vec());
         let snap = mgr.tracer.snapshot();
         assert!(snap.cp_read_bytes > 0, "cp hop should account the DRAM share");
-        assert!(mgr.begin_load_elems_placed(&buf, 200, 100).is_err(), "bounds enforced");
-        mgr.free_placed(buf);
+        assert!(mgr.begin_load(&buf, 200, 100).is_err(), "bounds enforced");
+        mgr.free(buf);
+    }
+
+    #[test]
+    fn single_tier_buffers_stay_off_the_cp_hop() {
+        // Parameters, gradients and activations are stored without a
+        // policy: their DRAM traffic is not optimizer-state traffic, so
+        // it must not inflate the cp hop's byte counters.
+        let node = node();
+        let mgr = node.offload_manager();
+        let mut buf = mgr.store(Device::cpu(), None, buf_f32(&[1.0; 16])).unwrap();
+        mgr.begin_load(&buf, 0, 16).unwrap().wait(&mgr).unwrap();
+        mgr.overwrite(&mut buf, &buf_f32(&[2.0; 16])).unwrap();
+        let mut wb = WriteBehind::new(1);
+        wb.submit(&mgr, &mut buf, 4, &buf_f32(&[3.0; 4])).unwrap();
+        let snap = mgr.tracer.snapshot();
+        assert_eq!((snap.cp_read_bytes, snap.cp_write_bytes), (0, 0));
+        mgr.free(buf);
     }
 
     #[test]
@@ -1697,31 +1437,18 @@ pub(crate) mod tests {
         let mgr = node.offload_manager();
         let n = 128;
         let mut buf = mgr
-            .store_placed(Device::nvme(), &PlacementPolicy::split(500, 8), buf_f32(&vec![0.0; n]))
+            .store(Device::nvme(), Some(PlacementPolicy::split(500, 8)), buf_f32(&vec![0.0; n]))
             .unwrap();
         let want: Vec<f32> = (0..n).map(|i| (i as f32) * 0.5 - 7.0).collect();
         let mut wb = WriteBehind::new(2);
         for start in (0..n).step_by(10) {
             let hi = (start + 10).min(n);
-            wb.submit_elems_placed(&mgr, &mut buf, start, &buf_f32(&want[start..hi])).unwrap();
+            wb.submit(&mgr, &mut buf, start, &buf_f32(&want[start..hi])).unwrap();
         }
         wb.drain(&mgr).unwrap();
-        assert_eq!(mgr.load_placed(&buf).unwrap().to_f32_vec(), want);
+        assert_eq!(mgr.load(&buf).unwrap().to_f32_vec(), want);
         assert!(mgr.tracer.snapshot().cp_write_bytes > 0);
-        mgr.free_placed(buf);
-    }
-
-    #[test]
-    fn placed_async_overwrite_visible_after_flush() {
-        let node = node();
-        let mgr = node.offload_manager();
-        let mut buf = mgr
-            .store_placed(Device::nvme(), &PlacementPolicy::split(250, 4), buf_f32(&[0.0; 64]))
-            .unwrap();
-        mgr.overwrite_async_placed(&mut buf, &buf_f32(&[4.5; 64])).unwrap();
-        mgr.flush().unwrap();
-        assert_eq!(mgr.load_placed(&buf).unwrap().to_f32_vec(), vec![4.5; 64]);
-        mgr.free_placed(buf);
+        mgr.free(buf);
     }
 
     #[test]
@@ -1730,7 +1457,7 @@ pub(crate) mod tests {
         let mgr = node.offload_manager();
         let vals: Vec<f32> = (0..200).map(|i| (i as f32).sin()).collect();
         let mut buf = mgr
-            .store_placed(Device::nvme(), &PlacementPolicy::split(250, 8), buf_f32(&vals))
+            .store(Device::nvme(), Some(PlacementPolicy::split(250, 8)), buf_f32(&vals))
             .unwrap();
         assert!(buf.elems_on(PathKind::Nvme) > 0);
         node.degrade();
@@ -1739,14 +1466,15 @@ pub(crate) mod tests {
         let (version, policy) = mgr.placement_cell().read();
         assert!(version >= 1);
         assert_eq!(policy, PlacementPolicy::all_cpu());
-        mgr.collapse_placed(&mut buf).unwrap();
+        mgr.collapse(&mut buf).unwrap();
         assert_eq!(buf.elems_on(PathKind::Nvme), 0);
         assert!(!buf.is_offloaded());
+        assert_eq!(buf.policy(), Some(PlacementPolicy::all_cpu()));
         // The NVMe-resident half came across bit-identical; the CPU half
         // was never touched.
-        assert_eq!(mgr.load_placed(&buf).unwrap().to_f32_vec(), vals);
+        assert_eq!(mgr.load(&buf).unwrap().to_f32_vec(), vals);
         assert!(mgr.health().failovers > 0);
-        mgr.free_placed(buf);
+        mgr.free(buf);
     }
 
     #[test]
@@ -1755,23 +1483,64 @@ pub(crate) mod tests {
         let mgr = node.offload_manager();
         plan.kill();
         let vals: Vec<f32> = (0..64).map(|i| i as f32).collect();
-        // Each planned-NVMe segment fails over alone, bytes in hand; the
-        // DRAM segments never saw the device at all.
-        let buf = mgr
-            .store_placed(Device::nvme(), &PlacementPolicy::split(500, 8), buf_f32(&vals))
-            .unwrap();
+        let policy = PlacementPolicy::split(500, 8);
+        let split = Some(policy);
+        let nvme_segments =
+            policy.plan(64).segments().iter().filter(|s| s.path == PathKind::Nvme).count();
+        // Each planned-NVMe segment fails over alone, bytes in hand, and
+        // counts one failover; the DRAM segments never saw the device.
+        let buf = mgr.store(Device::nvme(), split, buf_f32(&vals)).unwrap();
         assert_eq!(buf.elems_on(PathKind::Nvme), 0);
+        assert_eq!(mgr.health().failovers, nvme_segments as u64);
         assert!(mgr.is_degraded());
         assert_eq!(mgr.placement_cell().read().1, PlacementPolicy::all_cpu());
-        assert_eq!(mgr.load_placed(&buf).unwrap().to_f32_vec(), vals);
-        mgr.free_placed(buf);
-        // Once degraded, later placed stores collapse their plan up front.
-        let after = mgr
-            .store_placed(Device::nvme(), &PlacementPolicy::split(500, 8), buf_f32(&vals))
-            .unwrap();
-        assert_eq!(after.segments().len(), 1);
+        assert_eq!(mgr.load(&buf).unwrap().to_f32_vec(), vals);
+        mgr.free(buf);
+        // Once degraded, later stores collapse their plan to one CPU
+        // segment up front, counting one failover when the plan had NVMe
+        // elements and none when it was already all-CPU.
+        let after = mgr.store(Device::nvme(), split, buf_f32(&vals)).unwrap();
+        assert_eq!(after.segments.len(), 1);
         assert!(!after.is_offloaded());
-        mgr.free_placed(after);
+        assert_eq!(mgr.health().failovers, nvme_segments as u64 + 1);
+        let all_cpu = mgr.store(Device::nvme(), Some(PlacementPolicy::all_cpu()), buf_f32(&vals));
+        assert_eq!(mgr.health().failovers, nvme_segments as u64 + 1);
+        mgr.free(after);
+        mgr.free(all_cpu.unwrap());
+    }
+
+    #[test]
+    fn failed_split_read_waits_every_part() {
+        let (plan, node) = faulty_node();
+        let mgr = node.offload_manager();
+        let vals: Vec<f32> = (0..64).map(|i| i as f32).collect();
+        let buf = mgr
+            .store(Device::nvme(), Some(PlacementPolicy::split(500, 8)), buf_f32(&vals))
+            .unwrap();
+        plan.kill();
+        let pending = mgr.begin_load(&buf, 0, 64).unwrap();
+        let tickets: Vec<Ticket> = pending
+            .parts
+            .iter()
+            .filter_map(|(_, p)| match p {
+                Part::Nvme(ticket, ..) => Some(*ticket),
+                Part::Ready(_) => None,
+            })
+            .collect();
+        assert!(tickets.len() >= 2, "the range must span two NVMe segments");
+        let err = pending.wait(&mgr).unwrap_err();
+        assert!(err.is_device_failure(), "got {err}");
+        // A waited ticket's outcome lands a moment before its worker
+        // retires it from the in-flight count; allow that moment only.
+        let deadline = zi_sync::time::Instant::now() + std::time::Duration::from_secs(1);
+        while mgr.nvme().in_flight() > 0 && zi_sync::time::Instant::now() < deadline {
+            zi_sync::thread::yield_now();
+        }
+        assert_eq!(mgr.nvme().in_flight(), 0);
+        for ticket in tickets {
+            assert!(!mgr.nvme().is_ready(ticket), "part {ticket:?} was never waited");
+        }
+        mgr.free(buf);
     }
 
     #[test]
@@ -1780,16 +1549,17 @@ pub(crate) mod tests {
         let mgr = node.offload_manager();
         let vals: Vec<f32> = (0..300).map(|i| 1.0 / (i as f32 + 1.0)).collect();
         let mut buf = mgr
-            .store_placed(Device::nvme(), &PlacementPolicy::all_nvme(), buf_f32(&vals))
+            .store(Device::nvme(), Some(PlacementPolicy::all_nvme()), buf_f32(&vals))
             .unwrap();
         assert_eq!(buf.elems_on(PathKind::Cpu), 0);
-        mgr.retier_placed(&mut buf, Device::nvme(), &PlacementPolicy::split(500, 16)).unwrap();
+        mgr.retier(&mut buf, Device::nvme(), PlacementPolicy::split(500, 16)).unwrap();
         assert!(buf.is_split());
-        assert_eq!(mgr.load_placed(&buf).unwrap().to_f32_vec(), vals);
-        mgr.retier_placed(&mut buf, Device::nvme(), &PlacementPolicy::all_cpu()).unwrap();
+        assert_eq!(buf.policy(), Some(PlacementPolicy::split(500, 16)));
+        assert_eq!(mgr.load(&buf).unwrap().to_f32_vec(), vals);
+        mgr.retier(&mut buf, Device::nvme(), PlacementPolicy::all_cpu()).unwrap();
         assert_eq!(buf.elems_on(PathKind::Nvme), 0);
-        assert_eq!(mgr.load_placed(&buf).unwrap().to_f32_vec(), vals);
-        mgr.free_placed(buf);
+        assert_eq!(mgr.load(&buf).unwrap().to_f32_vec(), vals);
+        mgr.free(buf);
         assert_eq!(mgr.hierarchy().stats(Device::cpu()).in_use, 0);
         assert_eq!(mgr.hierarchy().stats(Device::nvme()).in_use, 0);
     }

@@ -20,7 +20,7 @@ use zi_tensor::FlatBuffer;
 use zi_trace::Counter;
 use zi_types::Result;
 
-use crate::offload::{DeviceBuf, OffloadManager, PendingLoad};
+use crate::offload::{OffloadManager, PendingRead, PlacedBuf};
 
 /// Operator-sequence map with on-the-fly re-synchronization.
 #[derive(Debug, Default)]
@@ -117,7 +117,7 @@ const MAX_PENDING: usize = 16;
 /// loads independent.
 #[derive(Default)]
 pub struct Prefetcher {
-    pending: HashMap<(ParamId, PathKind), PendingLoad>,
+    pending: HashMap<(ParamId, PathKind), PendingRead>,
     stats: PrefetchStats,
 }
 
@@ -130,8 +130,8 @@ impl Prefetcher {
     /// Begin an asynchronous load for `id`'s shard unless one is already
     /// in flight. Only asynchronous sources (NVMe) are tracked; loads that
     /// resolve immediately are left for the demand path.
-    pub fn prefetch(&mut self, mgr: &OffloadManager, id: ParamId, shard: &DeviceBuf) -> Result<()> {
-        let key = (id, shard.path());
+    pub fn prefetch(&mut self, mgr: &OffloadManager, id: ParamId, shard: &PlacedBuf) -> Result<()> {
+        let key = key(id, shard);
         if self.pending.contains_key(&key) {
             // Coalesce onto the in-flight nc-transfer: a second device
             // read for the same shard would waste bandwidth and staging,
@@ -149,7 +149,7 @@ impl Prefetcher {
         if !shard.is_offloaded() {
             return Ok(());
         }
-        let pending = mgr.begin_load(shard)?;
+        let pending = mgr.begin_load(shard, 0, shard.numel())?;
         if pending.is_async() {
             self.pending.insert(key, pending);
             self.stats.issued += 1;
@@ -169,9 +169,9 @@ impl Prefetcher {
         &mut self,
         mgr: &OffloadManager,
         id: ParamId,
-        shard: &DeviceBuf,
+        shard: &PlacedBuf,
     ) -> Result<FlatBuffer> {
-        if let Some(pending) = self.pending.remove(&(id, shard.path())) {
+        if let Some(pending) = self.pending.remove(&key(id, shard)) {
             self.stats.hits += 1;
             mgr.tracer().count(Counter::PrefetchHits, 1);
             if !pending.ready(mgr) {
@@ -217,6 +217,12 @@ impl Prefetcher {
         }
         Ok(())
     }
+}
+
+/// A shard's prefetch key: the parameter and the path its bytes resolve
+/// through.
+fn key(id: ParamId, shard: &PlacedBuf) -> (ParamId, PathKind) {
+    (id, if shard.is_offloaded() { PathKind::Nvme } else { PathKind::Cpu })
 }
 
 #[cfg(test)]
@@ -308,10 +314,10 @@ mod tests {
         let node = crate::offload::NodeResources::in_memory(&spec, 1);
         let mgr = node.offload_manager();
         let shard_a = mgr
-            .store(Device::nvme(), FlatBuffer::from_f32(DType::F32, &[1.0; 16]))
+            .store(Device::nvme(), None, FlatBuffer::from_f32(DType::F32, &[1.0; 16]))
             .unwrap();
         let shard_b = mgr
-            .store(Device::nvme(), FlatBuffer::from_f32(DType::F32, &[2.0; 16]))
+            .store(Device::nvme(), None, FlatBuffer::from_f32(DType::F32, &[2.0; 16]))
             .unwrap();
         let mut pf = Prefetcher::new();
         pf.prefetch(&mgr, ParamId(0), &shard_a).unwrap();
@@ -340,7 +346,7 @@ mod tests {
         let node = crate::offload::NodeResources::with_backend(&spec, 1, backend);
         let mgr = node.offload_manager();
         let shard = mgr
-            .store(Device::nvme(), FlatBuffer::from_f32(DType::F32, &[6.0; 32]))
+            .store(Device::nvme(), None, FlatBuffer::from_f32(DType::F32, &[6.0; 32]))
             .unwrap();
         let reads_before = mgr.nvme().stats().reads;
 
@@ -374,12 +380,12 @@ mod tests {
         let node = crate::offload::NodeResources::with_backend(&spec, 1, backend);
         let mgr = node.offload_manager();
         let nvme_shard = mgr
-            .store(Device::nvme(), FlatBuffer::from_f32(DType::F32, &[6.0; 32]))
+            .store(Device::nvme(), None, FlatBuffer::from_f32(DType::F32, &[6.0; 32]))
             .unwrap();
         // The same parameter after a re-tier: its shard now lives in
         // CPU DRAM, with different (fresher) contents.
         let cpu_shard = mgr
-            .store(Device::cpu(), FlatBuffer::from_f32(DType::F32, &[9.0; 32]))
+            .store(Device::cpu(), None, FlatBuffer::from_f32(DType::F32, &[9.0; 32]))
             .unwrap();
 
         plan.delay_next_ops(1, Duration::from_millis(100));
@@ -412,7 +418,7 @@ mod tests {
         let node = crate::offload::NodeResources::in_memory(&spec, 1);
         let mgr = node.offload_manager();
         let shard = mgr
-            .store(Device::cpu(), FlatBuffer::from_f32(DType::F32, &[4.0; 8]))
+            .store(Device::cpu(), None, FlatBuffer::from_f32(DType::F32, &[4.0; 8]))
             .unwrap();
         let mut pf = Prefetcher::new();
         for _ in 0..3 {
@@ -429,7 +435,7 @@ mod tests {
         let node = crate::offload::NodeResources::in_memory(&spec, 1);
         let mgr = node.offload_manager();
         let shard = mgr
-            .store(Device::cpu(), FlatBuffer::from_f32(DType::F32, &[3.0; 4]))
+            .store(Device::cpu(), None, FlatBuffer::from_f32(DType::F32, &[3.0; 4]))
             .unwrap();
         let mut pf = Prefetcher::new();
         pf.prefetch(&mgr, ParamId(0), &shard).unwrap();
@@ -444,7 +450,7 @@ mod tests {
         let node = crate::offload::NodeResources::in_memory(&spec, 1);
         let mgr = node.offload_manager();
         let shard = mgr
-            .store(Device::nvme(), FlatBuffer::from_f32(DType::F32, &[0.0; 8]))
+            .store(Device::nvme(), None, FlatBuffer::from_f32(DType::F32, &[0.0; 8]))
             .unwrap();
         let mut pf = Prefetcher::new();
         pf.prefetch(&mgr, ParamId(0), &shard).unwrap();
