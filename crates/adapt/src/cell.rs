@@ -8,10 +8,12 @@ use crate::Knobs;
 /// (rank 0, after its optimizer step) to every rank engine.
 ///
 /// The hazard this type exists to remove is the *torn strategy read*: a
-/// knob update touches three fields, and a rank that read depth from
+/// knob update touches four fields, and a rank that read depth from
 /// one update and the write-behind bound from another could run a
 /// combination the controller never chose (e.g. depth 8 with a
-/// 1-deep write window — a latent deadlock-by-back-pressure). Every
+/// 1-deep write window — a latent deadlock-by-back-pressure). The
+/// optimizer placement knob travels here too: each engine re-tiers
+/// drifted shards at its next step. Every
 /// publish therefore replaces the whole tuple under one lock and bumps
 /// a version; every read snapshots `(version, knobs)` under the same
 /// lock, so readers observe exactly the published sequence.
@@ -19,7 +21,7 @@ use crate::Knobs;
 /// Versions are strictly increasing and gaps are legal from a reader's
 /// point of view: a slow rank that misses intermediate publishes just
 /// jumps to the newest tuple (knobs are absolute settings, not deltas).
-/// The `knob-cell-publish` zi-check harness model-checks this protocol
+/// The `knob-cell-handoff` zi-check harness model-checks this protocol
 /// — consistent snapshots, monotonic versions, no lost wakeup in
 /// [`KnobCell::wait_past`].
 pub struct KnobCell {

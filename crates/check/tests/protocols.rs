@@ -12,12 +12,11 @@
 //! this file doubles as a plain concurrency smoke test.
 
 use zi_sync::Arc;
-use std::time::Duration;
 
 use zi_adapt::{KnobCell, Knobs};
 use zi_check::{Checker, Report};
 use zi_comm::{CommConfig, CommFaultPlan, CommGroup, Membership};
-use zi_memory::{PinnedBufferPool, PlacementPolicy, PlanCell, ScratchPool};
+use zi_memory::{PinnedBufferPool, ScratchPool};
 use zi_nvme::{CheckpointStore, FaultPlan, FaultyBackend, MemBackend, NvmeEngine, StorageBackend};
 use zi_sync::thread;
 use zi_trace::{Category, Event, Ring};
@@ -79,7 +78,7 @@ fn barrier_rank_death_body() {
     plan.kill_rank_after_ops(1, 1); // dies entering its 2nd collective
     let group = CommGroup::with_config(
         2,
-        CommConfig { deadline: Duration::from_secs(30), faults: plan },
+        CommConfig { faults: plan, ..CommConfig::default() },
     );
     let handles: Vec<_> = group
         .communicators()
@@ -375,97 +374,6 @@ fn knob_cell_handoff_is_race_free() {
 }
 
 // ---------------------------------------------------------------------------
-// Protocol 6b: placement-plan hand-off — re-tier publish vs. engine
-// poll/wait on the versioned plan cell.
-//
-// The placement twin of the knob-cell protocol: the adaptive
-// controller's placement knob (or degraded-mode collapse) publishes a
-// whole [`PlacementPolicy`] while every rank's engine polls it between
-// optimizer steps and rebuilds shard plans from what it reads.
-//
-// Invariant: a reader never observes a torn policy (both fields of a
-// publish become visible together — a torn read would make two ranks
-// disagree about a shard's layout), versions are strictly monotone per
-// reader even when intermediate publishes are skipped, and a blocked
-// `wait_past` never misses the wakeup for a publish that races it.
-
-fn plan_cell_handoff_body() {
-    // Both fields derived from one generator so a torn read (fields
-    // from two different publishes) is detectable by arithmetic alone.
-    fn policy(v: u32) -> PlacementPolicy {
-        PlacementPolicy::split(125 * v, 2 * v as usize)
-    }
-    fn check(version: u64, p: PlacementPolicy) {
-        let v = p.cpu_permille / 125;
-        assert!((1..=3).contains(&v), "version {version}: impossible permille {}", p.cpu_permille);
-        assert_eq!(
-            (p.cpu_permille, p.stripe),
-            (125 * v, 2 * v as usize),
-            "torn read at version {version}: cpu={}‰ stripe={}",
-            p.cpu_permille,
-            p.stripe
-        );
-    }
-    let cell = Arc::new(PlanCell::new(policy(1))); // version 1
-
-    // The re-tierer: two back-to-back placement changes.
-    let publisher = {
-        let cell = Arc::clone(&cell);
-        thread::spawn(move || {
-            assert_eq!(cell.publish(policy(2)), 2, "versions count publishes");
-            assert_eq!(cell.publish(policy(3)), 3);
-        })
-    };
-    // A polling rank: the non-blocking per-step `read_if_newer` loop the
-    // engine runs, then a blocking tail so the schedule always ends
-    // having seen the final publish (progress guarantee).
-    let poller = {
-        let cell = Arc::clone(&cell);
-        thread::spawn(move || {
-            let (mut seen, first) = cell.read();
-            check(seen, first);
-            for _ in 0..3 {
-                if let Some((v, p)) = cell.read_if_newer(seen) {
-                    assert!(v > seen, "read_if_newer returned a stale version");
-                    check(v, p);
-                    seen = v;
-                }
-            }
-            while seen < 3 {
-                let (v, p) = cell.wait_past(seen);
-                assert!(v > seen, "wait_past returned a stale version");
-                check(v, p);
-                seen = v;
-            }
-        })
-    };
-    // A purely blocking rank: `wait_past` chained to the end — the
-    // deadlock detector turns any lost wakeup into a failure.
-    let waiter = {
-        let cell = Arc::clone(&cell);
-        thread::spawn(move || {
-            let mut seen = 1u64;
-            while seen < 3 {
-                let (v, p) = cell.wait_past(seen);
-                assert!(v > seen);
-                check(v, p);
-                seen = v;
-            }
-        })
-    };
-    publisher.join().expect("publisher");
-    poller.join().expect("poller");
-    waiter.join().expect("waiter");
-    let (v, p) = cell.read();
-    assert_eq!((v, p), (3, policy(3)), "the last publish must win");
-}
-
-#[test]
-fn plan_cell_handoff_is_race_free() {
-    run("plan-cell-handoff", plan_cell_handoff_body);
-}
-
-// ---------------------------------------------------------------------------
 // Protocol 7: kernel worker pool — job submission, index claiming and
 // the per-job completion barrier.
 //
@@ -540,10 +448,9 @@ fn join_handshake_vs_rank_death_body() {
     let plan = CommFaultPlan::new();
     plan.kill_rank_after_ops(1, 2); // dies entering its 3rd collective
     let membership = Membership::new(2);
-    let group = CommGroup::with_membership(
+    let group = CommGroup::with_config(
         2,
-        CommConfig { deadline: Duration::from_secs(30), faults: plan },
-        &membership,
+        CommConfig { faults: plan, membership: Some(membership.clone()), ..CommConfig::default() },
     );
     let joiner = {
         let membership = membership.clone();

@@ -48,8 +48,9 @@ use crate::traffic::TrafficStats;
 /// still surfaces as a typed error instead of an infinite hang.
 pub const DEFAULT_COLLECTIVE_DEADLINE: Duration = Duration::from_secs(30);
 
-/// Configuration for a [`CommGroup`]: the per-synchronization deadline
-/// and the fault-injection plan consulted at every collective entry.
+/// Configuration for a [`CommGroup`]: the per-synchronization deadline,
+/// the fault-injection plan consulted at every collective entry, and the
+/// membership the group registers with, if any.
 #[derive(Clone)]
 pub struct CommConfig {
     /// Deadline for each barrier crossing inside a collective (a
@@ -58,11 +59,22 @@ pub struct CommConfig {
     pub deadline: Duration,
     /// Fault plan; the default injects nothing.
     pub faults: CommFaultPlan,
+    /// Membership whose queued joins latch a resize on the group,
+    /// retiring it with [`zi_types::Error::MembershipChange`] on every
+    /// rank. If joins are already pending when the group is built (a
+    /// join raced the teardown of the previous generation), the resize
+    /// latches immediately so the very first collective surfaces it.
+    /// The default registers with none.
+    pub membership: Option<Membership>,
 }
 
 impl Default for CommConfig {
     fn default() -> Self {
-        CommConfig { deadline: DEFAULT_COLLECTIVE_DEADLINE, faults: CommFaultPlan::new() }
+        CommConfig {
+            deadline: DEFAULT_COLLECTIVE_DEADLINE,
+            faults: CommFaultPlan::new(),
+            membership: None,
+        }
     }
 }
 
@@ -179,7 +191,8 @@ impl CommGroup {
     /// counters into an externally owned tracer.
     pub fn with_config_tracer(world: WorldSize, config: CommConfig, tracer: Tracer) -> Self {
         assert!(world > 0, "world size must be positive");
-        CommGroup {
+        let CommConfig { deadline, faults, membership } = config;
+        let group = CommGroup {
             shared: Arc::new(Shared {
                 world,
                 sync: SyncState {
@@ -194,43 +207,25 @@ impl CommGroup {
                 byte_slots: Mutex::new(vec![Vec::new(); world]),
                 f32_slots: Mutex::new(vec![Vec::new(); world]),
                 traffic: TrafficStats::default(),
-                deadline: config.deadline,
-                faults: config.faults,
+                deadline,
+                faults,
                 tracer,
             }),
-        }
-    }
-
-    /// Create a group registered with a [`Membership`]: joins queued on
-    /// the membership latch a resize on this group's barrier, retiring it
-    /// with [`zi_types::Error::MembershipChange`] on every rank. If joins
-    /// are already pending when the group is built (a join raced the
-    /// teardown of the previous generation), the resize latches
-    /// immediately so the very first collective surfaces it.
-    pub fn with_membership(world: WorldSize, config: CommConfig, membership: &Membership) -> Self {
-        Self::with_membership_tracer(world, config, Tracer::new(), membership)
-    }
-
-    /// [`CommGroup::with_membership`] with an externally owned tracer.
-    pub fn with_membership_tracer(
-        world: WorldSize,
-        config: CommConfig,
-        tracer: Tracer,
-        membership: &Membership,
-    ) -> Self {
-        let group = Self::with_config_tracer(world, config, tracer);
-        let weak = Arc::downgrade(&group.shared);
-        membership.set_observer(Arc::new(move |joining: usize| {
-            // Stale observers (a retired generation's group) upgrade to
-            // nothing once dropped; a live retired group latching again
-            // is harmless — the latch is idempotent.
-            if let Some(shared) = weak.upgrade() {
-                shared.mark_resize(joining);
+        };
+        if let Some(membership) = membership {
+            let weak = Arc::downgrade(&group.shared);
+            membership.set_observer(Arc::new(move |joining: usize| {
+                // Stale observers (a retired generation's group) upgrade to
+                // nothing once dropped; a live retired group latching again
+                // is harmless — the latch is idempotent.
+                if let Some(shared) = weak.upgrade() {
+                    shared.mark_resize(joining);
+                }
+            }));
+            let pending = membership.pending_joins();
+            if pending > 0 {
+                group.shared.mark_resize(pending);
             }
-        }));
-        let pending = membership.pending_joins();
-        if pending > 0 {
-            group.shared.mark_resize(pending);
         }
         group
     }
@@ -719,7 +714,7 @@ mod tests {
         plan.kill_rank_after_ops(1, 2);
         let group = CommGroup::with_config(
             3,
-            CommConfig { deadline: Duration::from_secs(30), faults: plan },
+            CommConfig { faults: plan, ..CommConfig::default() },
         );
         assert_eq!(group.failed_rank(), None);
         let start = Instant::now();
@@ -772,7 +767,7 @@ mod tests {
         let deadline = Duration::from_millis(100);
         let group = CommGroup::with_config(
             2,
-            CommConfig { deadline, faults: CommFaultPlan::new() },
+            CommConfig { deadline, ..CommConfig::default() },
         );
         let comm = group.communicator(0);
         let start = Instant::now();
@@ -795,7 +790,7 @@ mod tests {
         // its deadline.
         let group = CommGroup::with_config(
             2,
-            CommConfig { deadline: Duration::from_secs(30), faults: CommFaultPlan::new() },
+            CommConfig::default(),
         );
         let c0 = group.communicator(0);
         let c1 = group.communicator(1);
@@ -811,10 +806,9 @@ mod tests {
         // A join queued mid-run surfaces as MembershipChange on every
         // rank — promptly, typed, and without marking anything failed.
         let membership = Membership::new(3);
-        let group = CommGroup::with_membership(
+        let group = CommGroup::with_config(
             3,
-            CommConfig { deadline: Duration::from_secs(30), faults: CommFaultPlan::new() },
-            &membership,
+            CommConfig { membership: Some(membership.clone()), ..CommConfig::default() },
         );
         let m2 = membership.clone();
         let gate = Arc::new(AtomicU64::new(0));
@@ -851,7 +845,10 @@ mod tests {
         // when the next group is built: its first collective retires it.
         let membership = Membership::new(2);
         membership.request_join();
-        let group = CommGroup::with_membership(2, CommConfig::default(), &membership);
+        let group = CommGroup::with_config(
+            2,
+            CommConfig { membership: Some(membership.clone()), ..CommConfig::default() },
+        );
         assert_eq!(group.pending_resize(), Some(1));
         let err = group.communicator(0).barrier().unwrap_err();
         assert!(matches!(err, Error::MembershipChange { joining: 1, .. }), "got {err}");
@@ -862,10 +859,9 @@ mod tests {
         // Rank 0 blocks in a barrier; a join arrives from outside. Rank 0
         // must wake with MembershipChange well before its deadline.
         let membership = Membership::new(2);
-        let group = CommGroup::with_membership(
+        let group = CommGroup::with_config(
             2,
-            CommConfig { deadline: Duration::from_secs(30), faults: CommFaultPlan::new() },
-            &membership,
+            CommConfig { membership: Some(membership.clone()), ..CommConfig::default() },
         );
         let c0 = group.communicator(0);
         let h = thread::spawn(move || c0.barrier());
@@ -883,7 +879,10 @@ mod tests {
         // afterwards does not relabel the error, and the queue survives
         // for the generation after the shrink.
         let membership = Membership::new(2);
-        let group = CommGroup::with_membership(2, CommConfig::default(), &membership);
+        let group = CommGroup::with_config(
+            2,
+            CommConfig { membership: Some(membership.clone()), ..CommConfig::default() },
+        );
         group.abort_rank(1);
         membership.request_join();
         let err = group.communicator(0).barrier().unwrap_err();
@@ -900,7 +899,7 @@ mod tests {
         plan.delay_next_ops(0, 1, Duration::from_millis(20));
         let group = CommGroup::with_config(
             2,
-            CommConfig { deadline: Duration::from_secs(30), faults: plan.clone() },
+            CommConfig { faults: plan.clone(), ..CommConfig::default() },
         );
         let start = Instant::now();
         let results = run_group(&group, |rank, comm| comm.sum_scalar(rank as f32).unwrap());
@@ -923,7 +922,7 @@ mod tests {
             }
             let group = CommGroup::with_config(
                 2,
-                CommConfig { deadline: Duration::from_secs(30), faults: plan.clone() },
+                CommConfig { faults: plan.clone(), ..CommConfig::default() },
             );
             let out = run_group(&group, |_, comm| comm.allgather_bytes(&[0u8; 16]).unwrap());
             (out, plan.injected().corruptions)

@@ -145,8 +145,9 @@ fn write_blob(b: &Blob) -> Vec<u8> {
     out
 }
 
-fn parse_blob(bytes: &[u8]) -> Result<Blob> {
-    let mut r = Reader { buf: bytes, pos: 0 };
+/// Read a blob's header up to its `(rank, world)` fields, leaving `r`
+/// at the partitioned flag.
+fn parse_header(r: &mut Reader<'_>) -> Result<(usize, usize)> {
     if r.take(8)? != MAGIC {
         return Err(Error::InvalidArgument("not a zero-infinity checkpoint".into()));
     }
@@ -165,6 +166,17 @@ fn parse_blob(bytes: &[u8]) -> Result<Blob> {
             "checkpoint header claims rank {rank} of world {world}"
         )));
     }
+    Ok((rank, world))
+}
+
+/// The data-parallel world a blob was saved at, from its header alone.
+pub(crate) fn blob_world(bytes: &[u8]) -> Result<usize> {
+    Ok(parse_header(&mut Reader { buf: bytes, pos: 0 })?.1)
+}
+
+fn parse_blob(bytes: &[u8]) -> Result<Blob> {
+    let mut r = Reader { buf: bytes, pos: 0 };
+    let (rank, world) = parse_header(&mut r)?;
     let partitioned = match r.u8()? {
         0 => false,
         1 => true,

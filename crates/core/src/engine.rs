@@ -28,7 +28,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use zi_comm::{Communicator, Partitioner};
-use zi_memory::{Block, PlacementPolicy, ScratchPool};
+use zi_memory::{Block, ScratchPool};
 use zi_model::{ParamId, ParamRegistry, ParamStore};
 use zi_optim::{adam_update_chunk_publish, AdamConfig, LossScaler};
 use zi_tensor::{FlatBuffer, Tensor};
@@ -133,9 +133,6 @@ pub struct ZeroEngine {
     trace: TraceMap,
     /// Recycled f32 chunk buffers for the streaming optimizer step.
     scratch: ScratchPool,
-    /// Last placement-cell version consumed; newer publishes (a
-    /// degradation collapse) are folded in at the next step.
-    placement_seen: u64,
     stats: EngineStats,
 }
 
@@ -240,9 +237,6 @@ impl ZeroEngine {
                 optim,
             });
         }
-        // Anything published before construction is already reflected in
-        // the stores above (a degraded node collapses plans up front).
-        let placement_seen = mgr.placement_cell().read().0;
         Ok(ZeroEngine {
             strategy,
             mgr,
@@ -257,7 +251,6 @@ impl ZeroEngine {
             prefetcher: Prefetcher::new(),
             trace: TraceMap::new(),
             scratch: ScratchPool::new(),
-            placement_seen,
             stats: EngineStats::default(),
         })
     }
@@ -605,28 +598,20 @@ impl ZeroEngine {
     /// Bring every optimizer shard's placement in line with the current
     /// policy before the step touches it.
     ///
-    /// Two inputs, in priority order: a newer publish on the node-wide
-    /// plan cell (an NVMe degradation collapsing every plan to all-CPU —
-    /// split shards re-publish their NVMe-resident half to CPU instead
-    /// of dropping it with the store), then drift between the strategy's
-    /// policy and the one each shard was stored under (the re-tier knob;
-    /// a load/store round trip, numerically invisible).
+    /// A degraded node collapses every shard to CPU DRAM: split shards
+    /// re-publish their NVMe-resident half instead of dropping it with
+    /// the store. `collapse` skips DRAM segments, so once a shard is off
+    /// the device every later step's call moves nothing. Otherwise a
+    /// shard whose stored policy drifts from the strategy's (the re-tier
+    /// knob) moves by a load/store round trip, numerically invisible.
     fn sync_optimizer_placement(&mut self) -> Result<()> {
         let mgr = &self.mgr;
-        if let Some((version, policy)) = mgr.placement_cell().read_if_newer(self.placement_seen) {
-            self.placement_seen = version;
-            if policy == PlacementPolicy::all_cpu() {
-                for st in &mut self.shards {
-                    mgr.collapse(&mut st.optim.master)?;
-                    mgr.collapse(&mut st.optim.m)?;
-                    mgr.collapse(&mut st.optim.v)?;
-                }
-                return Ok(());
+        if mgr.is_degraded() {
+            for st in &mut self.shards {
+                mgr.collapse(&mut st.optim.master)?;
+                mgr.collapse(&mut st.optim.m)?;
+                mgr.collapse(&mut st.optim.v)?;
             }
-        }
-        if self.mgr.is_degraded() {
-            // No device to re-tier onto; the collapse above (or the
-            // degraded store path) already owns placement.
             return Ok(());
         }
         let target = self.strategy.optimizer_policy();
@@ -895,7 +880,7 @@ struct ChunkRead {
 mod tests {
     use super::*;
     use crate::offload::NodeResources;
-    use zi_memory::NodeMemorySpec;
+    use zi_memory::{NodeMemorySpec, PathKind};
     use zi_model::ParamRegistry;
 
     fn tiny_registry() -> ParamRegistry {
@@ -1120,6 +1105,64 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn degrade_between_steps_collapses_split_optimizer_state() {
+        // Chunk 4 sets a 2-element stripe, so `w`'s optimizer state is
+        // split across both paths at 250‰ CPU.
+        let strategy = Strategy::infinity_nvme()
+            .with_f32_params()
+            .with_optimizer_cpu_permille(250)
+            .with_optimizer_chunk(4);
+        let run = |degrade: bool| {
+            let (node, mut eng, reg) = single_rank(strategy);
+            let policy = strategy.optimizer_policy();
+            let nvme_segments: usize = eng
+                .shards
+                .iter()
+                .map(|st| {
+                    let plan = policy.plan(st.optim.master.numel());
+                    3 * plan.segments().iter().filter(|s| s.path == PathKind::Nvme).count()
+                })
+                .sum();
+            assert!(eng.shards.iter().any(|st| st.optim.master.is_split()), "split fixture");
+            let failovers = |eng: &ZeroEngine| eng.mgr.health().failovers;
+            for s in 0..3 {
+                if degrade && s == 1 {
+                    node.degrade();
+                }
+                let before = failovers(&eng);
+                for meta in reg.iter() {
+                    let grad: Vec<f32> =
+                        (0..meta.numel()).map(|i| (i + s) as f32 * 0.1 - 0.3).collect();
+                    eng.add_grad(meta.id, &Tensor::from_vec(&meta.shape, grad).unwrap()).unwrap();
+                }
+                assert!(eng.step().unwrap());
+                let added = failovers(&eng) - before;
+                match (degrade, s) {
+                    (true, 1) => {
+                        for st in &eng.shards {
+                            for buf in [&st.optim.master, &st.optim.m, &st.optim.v] {
+                                assert_eq!(buf.elems_on(PathKind::Nvme), 0);
+                            }
+                        }
+                        assert_eq!(added, nvme_segments as u64, "one failover per moved segment");
+                    }
+                    _ => assert_eq!(added, 0, "step {s} (degraded run: {degrade})"),
+                }
+            }
+            let bits: Vec<Vec<u32>> = reg
+                .iter()
+                .map(|meta| {
+                    let t = eng.export_param(meta.id).unwrap();
+                    t.data().iter().map(|x| x.to_bits()).collect()
+                })
+                .collect();
+            eng.dispose().unwrap();
+            bits
+        };
+        assert_eq!(run(true), run(false), "collapse must be invisible to the math");
     }
 
     /// `n` parameters of `len` elements each.

@@ -69,6 +69,6 @@ pub use pp::{train_gpt_pipeline, PipelineSpec};
 pub use tiling::TiledLinear;
 pub use checkpoint::{reshard_checkpoint_blobs, CHECKPOINT_FORMAT};
 pub use trainer::{
-    decode_checkpoint_payload, encode_checkpoint_payload, train_gpt, train_gpt_env, train_gpt_on,
-    train_gpt_with_policy, ElasticEvent, TrainEnv, TrainOutcome, TrainSpec,
+    decode_checkpoint_payload, encode_checkpoint_payload, train_gpt, train_gpt_env, ElasticEvent,
+    TrainEnv, TrainOutcome, TrainSpec,
 };

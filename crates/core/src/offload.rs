@@ -15,11 +15,11 @@ use zi_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use zi_sync::Arc;
 
 use zi_sync::Mutex;
-use zi_comm::{CommConfig, CommGroup, Membership};
+use zi_comm::{CommConfig, CommGroup};
 use zi_memory::{
-    Block, MemoryHierarchy, NodeMemorySpec, PathKind, PinnedBufferPool, PlacementPolicy, PlanCell,
+    Block, MemoryHierarchy, NodeMemorySpec, PathKind, PinnedBufferPool, PlacementPolicy,
 };
-use zi_nvme::{checksum::crc32, FileBackend, MemBackend, NvmeEngine, RetryPolicy, StorageBackend, Ticket};
+use zi_nvme::{checksum::crc32, MemBackend, NvmeEngine, RetryPolicy, StorageBackend, Ticket};
 use zi_tensor::FlatBuffer;
 use zi_trace::{Category, Counter, Tracer};
 use zi_types::{DType, Device, DeviceKind, Error, Result, WorldSize};
@@ -79,12 +79,10 @@ impl ResilienceState {
         }
     }
 
-    /// Latch the degradation flag, counting the first transition and
-    /// publishing the all-CPU collapse policy so plan readers re-tier.
-    fn latch_degraded(&self, tracer: &Tracer, placement: &PlanCell) {
+    /// Latch the degradation flag, counting the first transition.
+    fn latch_degraded(&self, tracer: &Tracer) {
         if !self.degraded.swap(true, Ordering::Release) {
             tracer.count(Counter::DegradedTransitions, 1);
-            placement.publish(PlacementPolicy::all_cpu());
         }
     }
 
@@ -129,9 +127,6 @@ pub struct NodeResources {
     pub group: CommGroup,
     /// Shared checksum registry and degradation latch.
     resilience: Arc<ResilienceState>,
-    /// Node-wide placement-policy cell: degradation (and re-tiering)
-    /// publish whole policies here so readers never see a torn one.
-    placement: Arc<PlanCell>,
     /// Node-wide tracer; the NVMe engine, pinned pool, comm group and
     /// every [`OffloadManager`] clone record into the same stream.
     tracer: Tracer,
@@ -151,88 +146,36 @@ impl NodeResources {
         Self::with_backend(spec, world, backend)
     }
 
-    /// Node whose NVMe device is a real file at `path` (benchmarks).
-    pub fn with_file_nvme(
-        spec: &NodeMemorySpec,
-        world: WorldSize,
-        path: &std::path::Path,
-    ) -> Result<Self> {
-        let backend = Arc::new(FileBackend::create(path)?) as Arc<dyn StorageBackend>;
-        Ok(Self::with_backend(spec, world, backend))
-    }
-
-    /// Node over an explicit storage backend.
+    /// Node over an explicit storage backend, with the default NVMe
+    /// retry policy and communicator configuration and its own tracer.
     pub fn with_backend(
         spec: &NodeMemorySpec,
         world: WorldSize,
         backend: Arc<dyn StorageBackend>,
     ) -> Self {
-        Self::with_backend_policy(spec, world, backend, RetryPolicy::default())
+        Self::with_backend_policy_comm_tracer(
+            spec,
+            world,
+            backend,
+            RetryPolicy::default(),
+            CommConfig::default(),
+            Tracer::new(),
+        )
     }
 
-    /// Node over an explicit storage backend and NVMe retry policy
-    /// (chaos tests shorten the backoffs; production uses the default).
-    pub fn with_backend_policy(
-        spec: &NodeMemorySpec,
-        world: WorldSize,
-        backend: Arc<dyn StorageBackend>,
-        policy: RetryPolicy,
-    ) -> Self {
-        Self::with_backend_policy_comm(spec, world, backend, policy, CommConfig::default())
-    }
-
-    /// [`Self::with_backend_policy`] with an explicit communicator
-    /// configuration (collective deadline + comm fault plan) — the
-    /// elastic trainer and comm-chaos tests build groups through this.
-    pub fn with_backend_policy_comm(
-        spec: &NodeMemorySpec,
-        world: WorldSize,
-        backend: Arc<dyn StorageBackend>,
-        policy: RetryPolicy,
-        comm: CommConfig,
-    ) -> Self {
-        Self::with_backend_policy_comm_tracer(spec, world, backend, policy, comm, Tracer::new())
-    }
-
-    /// [`Self::with_backend_policy_comm`] recording every subsystem's
-    /// spans and counters into an externally owned tracer — the trainer
-    /// passes one tracer here so a whole node (engine workers, pinned
-    /// pool, collectives, all ranks) shares a single event stream.
+    /// Node over an explicit storage backend, NVMe retry policy (chaos
+    /// tests shorten the backoffs) and communicator configuration
+    /// (collective deadline, comm fault plan, elastic membership),
+    /// recording every subsystem's spans and counters into an externally
+    /// owned tracer — the trainer passes one tracer here so a whole node
+    /// (engine workers, pinned pool, collectives, all ranks) shares a
+    /// single event stream.
     pub fn with_backend_policy_comm_tracer(
         spec: &NodeMemorySpec,
         world: WorldSize,
         backend: Arc<dyn StorageBackend>,
         policy: RetryPolicy,
         comm: CommConfig,
-        tracer: Tracer,
-    ) -> Self {
-        let group = CommGroup::with_config_tracer(world, comm, tracer.clone());
-        Self::assemble(spec, backend, policy, group, tracer)
-    }
-
-    /// [`Self::with_backend_policy_comm_tracer`] whose comm group is
-    /// registered with a [`Membership`]: ranks queued to join latch a
-    /// resize on this node's group, retiring it with
-    /// `Error::MembershipChange` so the elastic trainer can rebuild at
-    /// the grown world.
-    pub fn with_membership(
-        spec: &NodeMemorySpec,
-        world: WorldSize,
-        backend: Arc<dyn StorageBackend>,
-        policy: RetryPolicy,
-        comm: CommConfig,
-        tracer: Tracer,
-        membership: &Membership,
-    ) -> Self {
-        let group = CommGroup::with_membership_tracer(world, comm, tracer.clone(), membership);
-        Self::assemble(spec, backend, policy, group, tracer)
-    }
-
-    fn assemble(
-        spec: &NodeMemorySpec,
-        backend: Arc<dyn StorageBackend>,
-        policy: RetryPolicy,
-        group: CommGroup,
         tracer: Tracer,
     ) -> Self {
         NodeResources {
@@ -248,9 +191,8 @@ impl NodeResources {
                 PINNED_BUF_BYTES,
                 tracer.clone(),
             ),
-            group,
+            group: CommGroup::with_config_tracer(world, comm, tracer.clone()),
             resilience: Arc::new(ResilienceState::default()),
-            placement: Arc::new(PlanCell::new(PlacementPolicy::all_nvme())),
             tracer,
         }
     }
@@ -260,19 +202,13 @@ impl NodeResources {
         &self.tracer
     }
 
-    /// The node's placement-policy cell (see [`PlanCell`]): degradation
-    /// publishes the all-CPU collapse here, and engines poll it at step
-    /// boundaries to re-tier split shards.
-    pub fn placement_cell(&self) -> &Arc<PlanCell> {
-        &self.placement
-    }
-
     /// Start (or force) this node into degraded mode: every NVMe store
     /// is placed on CPU instead. Used when restarting after a device
     /// death — the replacement run must not trust the dead device.
-    /// Publishes the all-CPU policy so split shards collapse too.
+    /// Engines collapse their split optimizer shards to CPU at their next
+    /// step.
     pub fn degrade(&self) {
-        self.resilience.latch_degraded(&self.tracer, &self.placement);
+        self.resilience.latch_degraded(&self.tracer);
     }
 
     /// A per-rank offload manager handle.
@@ -282,7 +218,6 @@ impl NodeResources {
             nvme: Arc::clone(&self.nvme),
             pinned: self.pinned.clone(),
             resilience: Arc::clone(&self.resilience),
-            placement: Arc::clone(&self.placement),
             tracer: self.tracer.clone(),
         }
     }
@@ -484,7 +419,6 @@ pub struct OffloadManager {
     nvme: Arc<NvmeEngine>,
     pinned: PinnedBufferPool,
     resilience: Arc<ResilienceState>,
-    placement: Arc<PlanCell>,
     tracer: Tracer,
 }
 
@@ -507,11 +441,6 @@ impl OffloadManager {
     /// The node-wide tracer this manager records into.
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
-    }
-
-    /// The node's placement-policy cell (shared with [`NodeResources`]).
-    pub fn placement_cell(&self) -> &Arc<PlanCell> {
-        &self.placement
     }
 
     /// True once NVMe stores are redirected to CPU — either because a
@@ -538,7 +467,7 @@ impl OffloadManager {
 
     /// Count one NVMe→CPU failover, latching the node degraded.
     fn fail_over(&self) {
-        self.resilience.latch_degraded(&self.tracer, &self.placement);
+        self.resilience.latch_degraded(&self.tracer);
         self.resilience.failovers.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -817,7 +746,7 @@ impl OffloadManager {
     pub fn flush(&self) -> Result<()> {
         match self.nvme.flush() {
             Err(e) if e.is_device_failure() => {
-                self.resilience.latch_degraded(&self.tracer, &self.placement);
+                self.resilience.latch_degraded(&self.tracer);
                 Ok(())
             }
             r => r,
@@ -887,9 +816,14 @@ impl OffloadManager {
 /// the step path itself: transient faults are retried inside the engine,
 /// and a device-death error reaches the trainer's recovery loop rather
 /// than being discovered at end-of-iteration.
+///
+/// The device's workers may complete requests out of order, so a write
+/// overlapping one still in flight first waits that one out: the later
+/// write always lands last.
 pub struct WriteBehind {
     window: usize,
-    inflight: VecDeque<Ticket>,
+    /// `(ticket, device byte range)` per write, oldest first.
+    inflight: VecDeque<(Ticket, std::ops::Range<u64>)>,
 }
 
 impl WriteBehind {
@@ -953,25 +887,30 @@ impl WriteBehind {
         // unclaimed completions) and makes the stall counter a true
         // back-pressure signal — it fires only when the device is
         // genuinely behind.
-        while let Some(&oldest) = self.inflight.front() {
-            if !mgr.nvme.is_ready(oldest) {
-                break;
+        while self.inflight.front().is_some_and(|(oldest, _)| mgr.nvme.is_ready(*oldest)) {
+            if let Some((done, _)) = self.inflight.pop_front() {
+                mgr.nvme.wait(done)?;
             }
-            self.inflight.pop_front();
-            mgr.nvme.wait(oldest)?;
         }
         if self.inflight.len() >= self.window {
             // Back-pressure: the device is behind the pipeline.
             mgr.tracer.count(Counter::WbStalls, 1);
-            let Some(oldest) = self.inflight.pop_front() else {
+            let Some((oldest, _)) = self.inflight.pop_front() else {
                 return Err(Error::Internal("full write-behind window held no ticket".into()));
             };
             mgr.nvme.wait(oldest)?;
         }
+        let range = offset..offset + data.size_in_bytes() as u64;
+        while let Some(i) =
+            self.inflight.iter().position(|(_, r)| r.start < range.end && range.start < r.end)
+        {
+            let Some((overlapped, _)) = self.inflight.remove(i) else { break };
+            mgr.nvme.wait(overlapped)?;
+        }
         // CRC recorded at submission: the ticketed write either lands
         // these exact bytes or a wait surfaces the failure.
         mgr.resilience.record(offset, data.as_bytes());
-        self.inflight.push_back(mgr.nvme.submit_write(offset, data.as_bytes().to_vec()));
+        self.inflight.push_back((mgr.nvme.submit_write(offset, data.as_bytes().to_vec()), range));
         Ok(())
     }
 
@@ -980,7 +919,7 @@ impl WriteBehind {
     /// failures, so no request leaks into the engine's flush barrier.
     pub fn drain(&mut self, mgr: &OffloadManager) -> Result<()> {
         let mut first_err = None;
-        while let Some(ticket) = self.inflight.pop_front() {
+        while let Some((ticket, _)) = self.inflight.pop_front() {
             if let Err(e) = mgr.nvme.wait(ticket) {
                 first_err.get_or_insert(e);
             }
@@ -1102,7 +1041,9 @@ pub(crate) mod tests {
             deadline: Duration::from_secs(5),
             jitter_seed: 5,
         };
-        (plan, NodeResources::with_backend_policy(&spec, 1, backend, policy))
+        let (comm, tracer) = (CommConfig::default(), Tracer::new());
+        let node = NodeResources::with_backend_policy_comm_tracer(&spec, 1, backend, policy, comm, tracer);
+        (plan, node)
     }
 
     #[test]
@@ -1265,6 +1206,28 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn overlapping_write_behind_lands_in_submission_order() {
+        let (plan, node) = faulty_node();
+        let mgr = node.offload_manager();
+        let mut buf = mgr.store(Device::nvme(), None, buf_f32(&[0.0; 64])).unwrap();
+        // The first write stalls on its worker; the second, overlapping
+        // it and submitted once the first is stalled, must still land
+        // last.
+        plan.delay_next_ops(1, std::time::Duration::from_millis(100));
+        let mut wb = WriteBehind::new(4);
+        wb.submit(&mgr, &mut buf, 0, &buf_f32(&[1.0; 32])).unwrap();
+        zi_sync::thread::sleep(std::time::Duration::from_millis(20));
+        wb.submit(&mgr, &mut buf, 16, &buf_f32(&[2.0; 32])).unwrap();
+        wb.drain(&mgr).unwrap();
+        let mut want = vec![1.0; 16];
+        want.extend([2.0; 32]);
+        want.extend([0.0; 16]);
+        assert_eq!(mgr.load(&buf).unwrap().to_f32_vec(), want);
+        assert_eq!(plan.injected().latency_spikes, 1);
+        mgr.free(buf);
+    }
+
+    #[test]
     fn write_behind_surfaces_device_death_as_typed_error() {
         let (plan, node) = faulty_node();
         let mgr = node.offload_manager();
@@ -1338,7 +1301,6 @@ pub(crate) mod tests {
             pinned: PinnedBufferPool::new(2, 64), // 16 f32 per chunk
             group: CommGroup::new(1),
             resilience: Arc::new(ResilienceState::default()),
-            placement: Arc::new(PlanCell::new(PlacementPolicy::all_nvme())),
             tracer: Tracer::new(),
         };
         let mgr = node.offload_manager();
@@ -1461,11 +1423,10 @@ pub(crate) mod tests {
             .unwrap();
         assert!(buf.elems_on(PathKind::Nvme) > 0);
         node.degrade();
-        // Degradation publishes the collapse policy through the plan cell
-        // so every reader sees a whole (never torn) all-CPU policy.
-        let (version, policy) = mgr.placement_cell().read();
-        assert!(version >= 1);
-        assert_eq!(policy, PlacementPolicy::all_cpu());
+        // Degradation only latches the signal: the buffer keeps its NVMe
+        // half until the owner collapses it.
+        assert!(mgr.is_degraded());
+        assert!(buf.elems_on(PathKind::Nvme) > 0);
         mgr.collapse(&mut buf).unwrap();
         assert_eq!(buf.elems_on(PathKind::Nvme), 0);
         assert!(!buf.is_offloaded());
@@ -1493,7 +1454,7 @@ pub(crate) mod tests {
         assert_eq!(buf.elems_on(PathKind::Nvme), 0);
         assert_eq!(mgr.health().failovers, nvme_segments as u64);
         assert!(mgr.is_degraded());
-        assert_eq!(mgr.placement_cell().read().1, PlacementPolicy::all_cpu());
+        assert_eq!(buf.elems_on(PathKind::Cpu), 64);
         assert_eq!(mgr.load(&buf).unwrap().to_f32_vec(), vals);
         mgr.free(buf);
         // Once degraded, later stores collapse their plan to one CPU

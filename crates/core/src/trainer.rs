@@ -25,7 +25,7 @@ use zi_trace::{Category, Tracer, STEP_SPAN};
 use zi_types::{Error, Result};
 
 use crate::adaptive::TelemetryCursor;
-use crate::checkpoint::reshard_checkpoint_blobs;
+use crate::checkpoint::{blob_world, reshard_checkpoint_blobs};
 use crate::config::Strategy;
 use crate::engine::{EngineStats, ZeroEngine};
 use crate::offload::{NodeResources, OffloadHealth};
@@ -258,9 +258,21 @@ impl DurableVault {
         self.store.save(rank, steps_done as u64, &payload)
     }
 
-    /// Newest step durably checkpointed by every rank in `0..world`.
+    /// Newest step durably checkpointed by every rank in `0..world` at
+    /// world `world`. Survivors of a rank death can leave a version the
+    /// dead rank never saved: it is complete over the shrunk world's
+    /// ranks, but its blobs carry the old world, so it is skipped.
     fn latest_consistent(&self, world: usize) -> Result<Option<usize>> {
-        Ok(self.store.latest_complete(world)?.map(|v| v as usize))
+        'versions: for version in self.store.complete_versions(world)? {
+            for rank in 0..world {
+                let (blob, _) = self.get(rank, version as usize)?;
+                if blob_world(&blob)? != world {
+                    continue 'versions;
+                }
+            }
+            return Ok(Some(version as usize));
+        }
+        Ok(None)
     }
 
     fn get(&self, rank: usize, steps_done: usize) -> Result<(Vec<u8>, Vec<f32>)> {
@@ -288,13 +300,7 @@ pub fn synthetic_batch(
 /// Train a GPT with the given strategy across `spec.world` rank threads
 /// over an in-memory NVMe device.
 pub fn train_gpt(spec: &TrainSpec) -> Result<TrainOutcome> {
-    train_gpt_on(spec, Arc::new(MemBackend::new()))
-}
-
-/// [`train_gpt`] over an explicit storage backend (chaos tests inject a
-/// faulty device here) with the default NVMe retry policy.
-pub fn train_gpt_on(spec: &TrainSpec, backend: Arc<dyn StorageBackend>) -> Result<TrainOutcome> {
-    train_gpt_with_policy(spec, backend, RetryPolicy::default())
+    train_gpt_env(spec, TrainEnv::new(Arc::new(MemBackend::new())))
 }
 
 /// True if `e` is a storage-layer failure the trainer can recover from
@@ -317,16 +323,6 @@ fn error_severity(e: &Error) -> u8 {
     } else {
         2
     }
-}
-
-/// [`train_gpt_on`] with an explicit NVMe retry policy; see
-/// [`train_gpt_env`] for the full recovery semantics.
-pub fn train_gpt_with_policy(
-    spec: &TrainSpec,
-    backend: Arc<dyn StorageBackend>,
-    policy: RetryPolicy,
-) -> Result<TrainOutcome> {
-    train_gpt_env(spec, TrainEnv { policy, ..TrainEnv::new(backend) })
 }
 
 /// One training session's adaptive-control state: the rank-0 controller
@@ -456,7 +452,7 @@ pub fn train_gpt_env(spec: &TrainSpec, env: TrainEnv) -> Result<TrainOutcome> {
         // spec to whatever this attempt actually runs.
         let mut node_spec = spec.node;
         node_spec.gpus = node_spec.gpus.max(world);
-        let node = Arc::new(NodeResources::with_membership(
+        let node = Arc::new(NodeResources::with_backend_policy_comm_tracer(
             &node_spec,
             world,
             Arc::clone(&env.backend),
@@ -464,9 +460,9 @@ pub fn train_gpt_env(spec: &TrainSpec, env: TrainEnv) -> Result<TrainOutcome> {
             CommConfig {
                 deadline: spec.collective_deadline,
                 faults: env.comm_faults.clone(),
+                membership: Some(membership.clone()),
             },
             tracer.clone(),
-            &membership,
         ));
         if degraded_start {
             node.degrade();
@@ -1285,7 +1281,8 @@ mod recovery_tests {
         let plan = FaultPlan::new();
         plan.kill();
         let backend = Arc::new(FaultyBackend::new(MemBackend::new(), plan));
-        let out = train_gpt_with_policy(&spec, backend, fast_policy()).unwrap();
+        let env = TrainEnv { policy: fast_policy(), ..TrainEnv::new(backend) };
+        let out = train_gpt_env(&spec, env).unwrap();
 
         // Every NVMe store failed over to CPU; nothing ever errored, so
         // no restart was needed and the numerics are untouched.
@@ -1304,7 +1301,7 @@ mod recovery_tests {
         // the total data operations the workload performs.
         let quiet = FaultPlan::new();
         let backend = Arc::new(FaultyBackend::new(MemBackend::new(), quiet.clone()));
-        train_gpt_with_policy(&spec, backend, fast_policy()).unwrap();
+        train_gpt_env(&spec, TrainEnv { policy: fast_policy(), ..TrainEnv::new(backend) }).unwrap();
         let total_ops = quiet.ops_seen();
         assert!(total_ops > 0);
 
@@ -1313,7 +1310,8 @@ mod recovery_tests {
         let plan = FaultPlan::new();
         plan.kill_after_ops(total_ops * 6 / 10);
         let backend = Arc::new(FaultyBackend::new(MemBackend::new(), plan.clone()));
-        let out = train_gpt_with_policy(&spec, backend, fast_policy()).unwrap();
+        let env = TrainEnv { policy: fast_policy(), ..TrainEnv::new(backend) };
+        let out = train_gpt_env(&spec, env).unwrap();
 
         assert!(out.recoveries >= 1, "death mid-run must force a restart");
         assert!(out.degraded, "the replacement run must distrust the device");
@@ -1344,14 +1342,15 @@ mod recovery_tests {
 
         let quiet = FaultPlan::new();
         let backend = Arc::new(FaultyBackend::new(MemBackend::new(), quiet.clone()));
-        train_gpt_with_policy(&spec, backend, fast_policy()).unwrap();
+        train_gpt_env(&spec, TrainEnv { policy: fast_policy(), ..TrainEnv::new(backend) }).unwrap();
         let total_ops = quiet.ops_seen();
         assert!(total_ops > 0);
 
         let plan = FaultPlan::new();
         plan.kill_after_ops(total_ops * 6 / 10);
         let backend = Arc::new(FaultyBackend::new(MemBackend::new(), plan.clone()));
-        let out = train_gpt_with_policy(&spec, backend, fast_policy()).unwrap();
+        let env = TrainEnv { policy: fast_policy(), ..TrainEnv::new(backend) };
+        let out = train_gpt_env(&spec, env).unwrap();
 
         assert!(out.recoveries >= 1, "death mid-run must force a restart");
         assert!(out.degraded, "the replacement run must distrust the device");
@@ -1370,12 +1369,13 @@ mod recovery_tests {
 
         let quiet = FaultPlan::new();
         let backend = Arc::new(FaultyBackend::new(MemBackend::new(), quiet.clone()));
-        train_gpt_with_policy(&spec, backend, fast_policy()).unwrap();
+        train_gpt_env(&spec, TrainEnv { policy: fast_policy(), ..TrainEnv::new(backend) }).unwrap();
 
         let plan = FaultPlan::new();
         plan.kill_after_ops(quiet.ops_seen() * 6 / 10);
         let backend = Arc::new(FaultyBackend::new(MemBackend::new(), plan));
-        let err = match train_gpt_with_policy(&spec, backend, fast_policy()) {
+        let env = TrainEnv { policy: fast_policy(), ..TrainEnv::new(backend) };
+        let err = match train_gpt_env(&spec, env) {
             Err(e) => e,
             Ok(_) => panic!("run over a dying device with no recovery budget must fail"),
         };

@@ -465,16 +465,22 @@ impl CheckpointStore {
     /// (latest-complete-wins recovery). `None` when no version is
     /// complete everywhere — including on a store nothing was saved to.
     pub fn latest_complete(&self, ranks: usize) -> Result<Option<u64>> {
+        Ok(self.complete_versions(ranks)?.first().copied())
+    }
+
+    /// Every version durably complete on all of ranks `0..ranks`, newest
+    /// first.
+    pub fn complete_versions(&self, ranks: usize) -> Result<Vec<u64>> {
         let core = &self.inner.core;
         if ranks == 0 || ranks as u32 > core.ranks {
             return Err(Error::InvalidArgument(format!(
-                "latest_complete over {ranks} ranks on a store of {}",
+                "complete-version scan over {ranks} ranks on a store of {}",
                 core.ranks
             )));
         }
         let cap = match core.state.lock().slot_capacity {
             Some(c) => c,
-            None => return Ok(None),
+            None => return Ok(Vec::new()),
         };
         let mut complete: Option<Vec<u64>> = None;
         for rank in 0..ranks as u32 {
@@ -489,7 +495,9 @@ impl CheckpointStore {
                 Some(prev) => prev.into_iter().filter(|v| versions.contains(v)).collect(),
             });
         }
-        Ok(complete.unwrap_or_default().into_iter().max())
+        let mut complete = complete.unwrap_or_default();
+        complete.sort_unstable_by(|a, b| b.cmp(a));
+        Ok(complete)
     }
 }
 

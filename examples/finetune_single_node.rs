@@ -35,8 +35,8 @@ fn main() {
 
     let dir = std::env::temp_dir().join(format!("zi_finetune_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let node = NodeResources::with_file_nvme(&spec, world, &dir.join("nvme.dev"))
-        .expect("file-backed NVMe");
+    let device = zi_nvme::FileBackend::create(&dir.join("nvme.dev")).expect("file-backed NVMe");
+    let node = NodeResources::with_backend(&spec, world, zi_sync::Arc::new(device));
 
     // Train on rank threads manually (the long-hand version of
     // `train_gpt`, to show the per-rank API).

@@ -73,6 +73,10 @@ fi
 # (the vendored criterion's --test mode), so bench-only regressions
 # fail CI without paying full measurement time.
 cargo bench -p zi-bench --bench engine_bench -- --test
+# Compile every zi-bench benchmark (comm, engine, nvme, optim): only
+# engine_bench runs above, so an API change that breaks another bench
+# would otherwise go unseen.
+cargo bench -p zi-bench --no-run
 # Chaos soak: a seeded composed failure schedule — device death, rank
 # kills, joins, delay bursts, read corruption — generated by zi-chaos
 # from ZI_CHAOS_SEED (the #[ignore]d soak in tests/chaos.rs; override

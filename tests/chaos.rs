@@ -27,7 +27,7 @@ use zi_sync::Arc;
 use std::time::Duration;
 
 use proptest::prelude::*;
-use zero_infinity::{train_gpt, train_gpt_with_policy, Strategy, TrainSpec};
+use zero_infinity::{train_gpt, train_gpt_env, Strategy, TrainEnv, TrainSpec};
 use zi_model::GptConfig;
 use zi_nvme::{FaultPlan, FaultProfile, FaultyBackend, MemBackend, RetryPolicy};
 
@@ -75,7 +75,8 @@ fn chaos_soak_transient_faults_are_invisible() {
     };
     let plan = FaultPlan::probabilistic(profile);
     let backend = Arc::new(FaultyBackend::new(MemBackend::new(), plan.clone()));
-    let out = train_gpt_with_policy(&spec, backend, chaos_policy()).expect("chaos run");
+    let env = TrainEnv { policy: chaos_policy(), ..TrainEnv::new(backend) };
+    let out = train_gpt_env(&spec, env).expect("chaos run");
 
     let injected = plan.injected();
     assert!(
@@ -104,7 +105,8 @@ fn chaos_soak_bitflips_are_repaired_by_checksums() {
     // every flip is repairable by a verified re-read.
     plan.bitflip_next_reads(5);
     let backend = Arc::new(FaultyBackend::new(MemBackend::new(), plan.clone()));
-    let out = train_gpt_with_policy(&spec, backend, chaos_policy()).expect("bitflip run");
+    let env = TrainEnv { policy: chaos_policy(), ..TrainEnv::new(backend) };
+    let out = train_gpt_env(&spec, env).expect("bitflip run");
 
     assert_eq!(plan.injected().bitflips, 5, "all scripted flips must fire");
     assert!(
@@ -143,7 +145,8 @@ fn chaos_pipelined_step_survives_transient_faults() {
     };
     let plan = FaultPlan::probabilistic(profile);
     let backend = Arc::new(FaultyBackend::new(MemBackend::new(), plan.clone()));
-    let out = train_gpt_with_policy(&spec, backend, chaos_policy()).expect("chaos run");
+    let env = TrainEnv { policy: chaos_policy(), ..TrainEnv::new(backend) };
+    let out = train_gpt_env(&spec, env).expect("chaos run");
 
     assert!(plan.injected().total_faults() > 0, "soak must inject faults");
     assert!(out.health.io.retries > 0, "faults must be absorbed by retries");
@@ -202,7 +205,8 @@ mod adaptive {
         let plan = FaultPlan::new();
         plan.kill();
         let backend = Arc::new(FaultyBackend::new(MemBackend::new(), plan));
-        let out = train_gpt_with_policy(&spec, backend, fast_policy()).unwrap();
+        let env = TrainEnv { policy: fast_policy(), ..TrainEnv::new(backend) };
+        let out = train_gpt_env(&spec, env).unwrap();
 
         assert!(out.degraded, "run must report the failover");
         assert!(out.health.failovers > 0, "stores must have failed over to CPU");
@@ -236,14 +240,15 @@ mod adaptive {
         // stores, with most of the run still ahead.
         let quiet = FaultPlan::new();
         let backend = Arc::new(FaultyBackend::new(MemBackend::new(), quiet.clone()));
-        train_gpt_with_policy(&spec, backend, fast_policy()).unwrap();
+        train_gpt_env(&spec, TrainEnv { policy: fast_policy(), ..TrainEnv::new(backend) }).unwrap();
         let total_ops = quiet.ops_seen();
         assert!(total_ops > 0);
 
         let plan = FaultPlan::new();
         plan.kill_after_ops(total_ops * 3 / 10);
         let backend = Arc::new(FaultyBackend::new(MemBackend::new(), plan.clone()));
-        let out = train_gpt_with_policy(&spec, backend, fast_policy()).unwrap();
+        let env = TrainEnv { policy: fast_policy(), ..TrainEnv::new(backend) };
+        let out = train_gpt_env(&spec, env).unwrap();
 
         assert!(plan.injected().dead_rejections > 0, "the device really died");
         assert!(out.recoveries >= 1, "mid-run death must force a restart");
@@ -283,7 +288,6 @@ mod elasticity {
     use zi_sync::time::Instant;
     use zero_infinity::{
         decode_checkpoint_payload, encode_checkpoint_payload, reshard_checkpoint_blobs,
-        train_gpt_env, TrainEnv,
     };
     use zi_comm::CommFaultPlan;
     use zi_nvme::CheckpointStore;
@@ -412,11 +416,63 @@ mod elasticity {
         }
     }
 
+    /// Survivors of a rank death can durably save a version the dead
+    /// rank never did. That version is complete over the shrunk world's
+    /// ranks, but its blobs carry the old world: the shrunk session must
+    /// resume from the resharded version below it, not fail loading it.
+    #[test]
+    fn shrink_skips_a_newer_version_only_survivors_saved() {
+        let mut spec = elastic_spec(2);
+        spec.checkpoint_every = 1;
+        spec.steps = 3;
+        let store = CheckpointStore::new(Arc::new(MemBackend::new()), 2, 2).unwrap();
+        let mut env = TrainEnv::new(Arc::new(MemBackend::new()));
+        env.store = Some(store.clone());
+        train_gpt_env(&spec, env).expect("prefix run");
+        let v2: Vec<Vec<u8>> = (0..2).map(|rank| store.load(rank, 2).unwrap()).collect();
+        // Two slots per rank hold versions 2 and 3. Rotating rank 1's
+        // version 3 away leaves it saved by rank 0 alone, as if rank 1
+        // died before its save landed.
+        store.save(1, 1, &v2[1]).unwrap();
+        assert_eq!(store.latest_complete(2).unwrap(), Some(2));
+        assert_eq!(store.latest_complete(1).unwrap(), Some(3));
+
+        // Resume at world 2 from version 2; rank 1 dies at its first
+        // collective, before anything new is saved.
+        spec.steps = 5;
+        let faults = CommFaultPlan::new();
+        faults.kill_rank_after_ops(1, 0);
+        let mut env = TrainEnv::new(Arc::new(MemBackend::new()));
+        env.comm_faults = faults.clone();
+        env.store = Some(store);
+        let out = train_gpt_env(&spec, env).expect("shrunk session must resume");
+        assert_eq!(faults.injected().rank_deaths, 1, "the scripted death must fire");
+        assert_eq!(out.final_world, 1);
+        assert_eq!(out.elastic.len(), 1);
+        assert_eq!(out.elastic[0].resumed_from_step, Some(2));
+
+        // Reference: a fresh 1-rank session from version 2 resharded by
+        // hand, in a store holding nothing newer.
+        let decoded: Vec<_> = v2.iter().map(|p| decode_checkpoint_payload(p).unwrap()).collect();
+        let blobs: Vec<Vec<u8>> = decoded.iter().map(|(blob, _)| blob.clone()).collect();
+        let resharded = reshard_checkpoint_blobs(&blobs, 1).unwrap();
+        let fresh_store = CheckpointStore::new(Arc::new(MemBackend::new()), 1, 2).unwrap();
+        let payload = encode_checkpoint_payload(&resharded[0], &decoded[0].1);
+        fresh_store.save(0, 2, &payload).unwrap();
+        let mut fresh_spec = elastic_spec(1);
+        fresh_spec.checkpoint_every = 1;
+        fresh_spec.steps = spec.steps;
+        let mut env = TrainEnv::new(Arc::new(MemBackend::new()));
+        env.store = Some(fresh_store);
+        let fresh = train_gpt_env(&fresh_spec, env).expect("fresh 1-rank resume");
+        assert_eq!(out.losses.len(), spec.steps);
+        assert_eq!(fresh.losses, out.losses, "the shrink must resume from version 2");
+    }
 }
 
 mod orchestrator {
     use super::*;
-    use zero_infinity::{train_gpt_env, TrainEnv, TrainOutcome};
+    use zero_infinity::TrainOutcome;
     use zi_chaos::{
         check_outcome, ChaosConfig, ChaosEvent, ChaosPlan, FiredEvent, SessionSummary,
     };

@@ -25,9 +25,8 @@ fn full_stack_training_on_file_backed_nvme() {
     let world = 4;
     let spec = NodeMemorySpec::test_spec(world, 1 << 24, 1 << 26, 1 << 27);
     let dir = temp_dir("full");
-    let node = Arc::new(
-        NodeResources::with_file_nvme(&spec, world, &dir.join("nvme.dev")).expect("nvme file"),
-    );
+    let device = zi_nvme::FileBackend::create(&dir.join("nvme.dev")).expect("nvme file");
+    let node = Arc::new(NodeResources::with_backend(&spec, world, Arc::new(device)));
 
     let mut handles = Vec::new();
     for rank in 0..world {
@@ -149,7 +148,9 @@ fn gpu_working_memory_stays_bounded() {
 /// typed errors, not hangs or silent corruption.
 #[test]
 fn nvme_failures_propagate_cleanly() {
-    use zi_nvme::{FaultPlan, FaultyBackend, MemBackend, RetryPolicy, StorageBackend};
+    use zi_comm::CommConfig;
+    use zi_nvme::{FaultPlan, FaultyBackend, MemBackend, RetryPolicy};
+    use zi_trace::Tracer;
 
     let cfg = GptConfig::tiny();
     let spec = NodeMemorySpec::test_spec(1, 1 << 24, 1 << 26, 1 << 26);
@@ -161,11 +162,13 @@ fn nvme_failures_propagate_cleanly() {
         max_backoff: std::time::Duration::from_millis(1),
         ..RetryPolicy::default()
     };
-    let node = NodeResources::with_backend_policy(
+    let node = NodeResources::with_backend_policy_comm_tracer(
         &spec,
         1,
-        backend as Arc<dyn StorageBackend>,
+        backend,
         policy,
+        CommConfig::default(),
+        Tracer::new(),
     );
     let model = GptModel::new(cfg);
 
